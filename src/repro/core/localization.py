@@ -132,19 +132,24 @@ class TagLocalizer:
             energies = np.sum(np.abs(residual) ** 2, axis=1)
             order = np.argsort(energies)[::-1]
             budget = max(self.max_refine_chirps - used, 0)
-            for rank in order[: min(len(indices) // 2, budget)]:
-                chirp = if_frame.frame.slots[indices[rank]].chirp
-                estimate = estimate_range_zoom(
-                    residual[rank],
-                    chirp,
+            ranks = order[: min(len(indices) // 2, budget)]
+            chirps = [if_frame.frame.slots[indices[rank]].chirp for rank in ranks]
+            # The group key rounds the slope; the zoom basis needs it exact,
+            # so rows whose exact slopes differ get separate calls.
+            group_estimates = np.empty(len(ranks))
+            for slope in dict.fromkeys(chirp.slope_hz_per_s for chirp in chirps):
+                rows = [i for i, chirp in enumerate(chirps) if chirp.slope_hz_per_s == slope]
+                group_estimates[rows] = estimate_range_zoom(
+                    residual[ranks[rows]],
+                    chirps[rows[0]],
                     if_frame.sample_rate_hz,
                     coarse_range_m=detection.range_m,
                     zoom_width_m=self.zoom_width_m,
                     zoom_points=self.zoom_points,
                 )
-                estimates.append(estimate)
-                weights.append(float(energies[rank]))
-                used += 1
+            estimates.extend(group_estimates.tolist())
+            weights.extend(energies[ranks].tolist())
+            used += len(ranks)
             if used >= self.max_refine_chirps:
                 break
 
