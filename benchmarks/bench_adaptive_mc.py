@@ -21,7 +21,7 @@ behaviour: where errors do accumulate the driver runs to the full cap,
 i.e. the saving comes from clean points only, never from starving a
 floor of evidence.
 
-Both modes use the batched DSP path, so the comparison isolates the
+Both modes run the same engine chunk, so the comparison isolates the
 sampling policy rather than kernel differences.  Timed best-of-N for
 the usual shared-runner jitter reasons.
 """
@@ -50,7 +50,7 @@ ADAPTIVE = AdaptiveConfig(
     max_frames=MAX_FRAMES,
     batch_frames=MIN_FRAMES,
 )
-PLAN = ExecutionPlan(workers=1, chunk_size=MAX_FRAMES, batch_frames=True)
+PLAN = ExecutionPlan(workers=1, chunk_size=MAX_FRAMES)
 
 
 def _config(paper_alphabet, distance_m):

@@ -189,13 +189,6 @@ def _add_worker_options(parser) -> None:
         help="experiment-store directory; repeat runs are served from the "
         "cache, bit-identically (default: no caching)",
     )
-    parser.add_argument(
-        "--batch-frames",
-        action="store_true",
-        help="synthesize and decode each chunk's frames as stacked arrays "
-        "(bit-identical to the per-frame path; engines without a batched "
-        "path ignore the flag)",
-    )
 
 
 def _add_adaptive_options(parser) -> None:
@@ -552,7 +545,6 @@ def _execution_plan(args):
         progress=timings.append,
         max_retries=args.max_retries,
         chunk_timeout_s=args.chunk_timeout,
-        batch_frames=getattr(args, "batch_frames", False),
     )
     return plan, timings
 
@@ -825,7 +817,6 @@ def _run_serve(args, out) -> int:
         chunk_size=args.chunk_size,
         max_retries=args.max_retries,
         chunk_timeout_s=args.chunk_timeout,
-        batch_frames=getattr(args, "batch_frames", False),
     )
     config = ServeConfig(
         host=args.host,
@@ -989,7 +980,7 @@ class _Telemetry:
 _NON_CONFIG_ARGS = frozenset({
     "command", "log_json", "profile", "trace_dir", "metrics_port",
     "manifest_dir", "workers", "chunk_size", "max_retries",
-    "chunk_timeout", "batch_frames", "cache_dir",
+    "chunk_timeout", "cache_dir",
 })
 
 

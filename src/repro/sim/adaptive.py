@@ -12,7 +12,7 @@ width, or a hard ``max_frames`` cap is hit.
 pure function of ``(root SeedSequence, i)`` and never depends on the
 stopping decision; the rule only chooses *how many* indices run.  Each
 round is one :func:`repro.sim.executor.map_trials` call over its index
-window, so ``workers=1/2/4`` stay bit-exact and the per-frame oracle
+window, so ``workers=1/2/4`` stay bit-exact and the differential-oracle
 contract survives unchanged.  Because the stopping rule is part of the
 work unit, engines fold the :class:`AdaptiveConfig` into their store
 fingerprints — adaptive and fixed-budget results never collide in the
@@ -345,9 +345,8 @@ def run_adaptive_trials(
     contribution and runs in the parent only, so it need not pickle.
 
     Round ``r`` is one ``map_trials`` call over
-    ``[r*batch, min((r+1)*batch, max_frames))`` — retries, pool
-    rebuilds, and the ``batch_frames`` fast path all apply per round
-    unchanged.  Returns every per-trial result in trial order plus the
+    ``[r*batch, min((r+1)*batch, max_frames))`` — retries and pool
+    rebuilds apply per round unchanged.  Returns every per-trial result in trial order plus the
     stopping trajectory.
     """
     spec = SeedSpec.from_rng(rng)

@@ -20,7 +20,10 @@ bit-identically, and only retry exhaustion surfaces as
 :class:`repro.errors.ExecutorError` with the failing trial indices.
 The trial bodies live in module-level ``_*_chunk`` functions so they can
 be pickled to worker processes; each chunk rebuilds its (deterministic)
-DSP objects once, amortising setup over the chunk's trials.
+DSP objects once, amortising setup over the chunk's trials.  The
+downlink chunk has one implementation: it synthesizes and decodes its
+frames as stacked arrays.  The per-frame reference it must match bit for
+bit lives in the test suite.
 
 All three also accept ``store=`` (an
 :class:`repro.store.ExperimentStore`): the whole run is fingerprinted
@@ -185,83 +188,23 @@ def _effective_snr_override(config: DownlinkTrialConfig) -> "float | None":
     return snr_override
 
 
-def _downlink_chunk(
-    config: DownlinkTrialConfig, spec: SeedSpec, indices
-) -> "list[tuple[int, int, int]]":
-    """One chunk of downlink frames -> (bit_errors, bits, sync_failed) per trial."""
-    budget = config.resolved_budget()
-    encoder = DownlinkEncoder(radar_config=config.radar_config, alphabet=config.alphabet)
-    impair = config.impairments if (
-        config.impairments is not None and config.impairments.active
-    ) else None
-    clock_offset_ppm = impair.clock_offset_ppm() if impair is not None else 0.0
-    decoder = TagDecoder(
-        config.alphabet, fields=config.fields, clock_offset_ppm=clock_offset_ppm
-    )
-    frontend = AnalyticTagFrontend(
-        budget=budget, delta_t_s=config.alphabet.decoder.delta_t_s
-    )
-    snr_override = _effective_snr_override(config)
-
-    bits_per_frame = config.payload_symbols_per_frame * config.alphabet.symbol_bits
-    results = []
-    for index in indices:
-        stream = spec.stream(index)
-        payload = random_bits(bits_per_frame, rng=stream)
-        packet = DownlinkPacket.from_bits(config.alphabet, payload, fields=config.fields)
-        frame = encoder.encode_packet(packet)
-        capture = frontend.capture(
-            frame,
-            config.distance_m,
-            rng=stream,
-            snr_override_db=snr_override,
-        )
-        if impair is not None:
-            capture = impair.apply_to_capture(capture, rng=stream)
-        counter = ErrorCounter()
-        sync_failed = 0
-        try:
-            if config.full_sync:
-                decoded = decoder.decode(
-                    capture, num_payload_symbols=config.payload_symbols_per_frame
-                )
-            else:
-                decoded = decoder.decode_aligned(
-                    capture, num_payload_symbols=config.payload_symbols_per_frame
-                )
-            counter.update(payload, decoded.bits)
-        except SyncError:
-            sync_failed = 1
-            counter.update(payload, np.empty(0, dtype=np.uint8))
-        results.append((counter.bit_errors, counter.bits_total, sync_failed))
-    if _obs_runtime._enabled:
-        # Incremented inside the (possibly worker) process; the executor
-        # serializes the registry delta back with the chunk results.
-        obs.inc("engine.downlink.trials", len(results))
-        obs.inc("engine.downlink.sync_failures", sum(r[2] for r in results))
-    return results
-
-
 class _DownlinkBatchLayout:
     """Precomputed per-sweep-point geometry for the batched downlink path.
 
-    Everything the per-frame path derives object-by-object — slot start
+    Everything the encoder derives object-by-object — slot start
     times, per-symbol chirp durations and slopes, the Gray bit->symbol map
     — is tabulated once per chunk so synthesizing a whole chunk of frames
     never touches ``DownlinkPacket`` / ``FrameSchedule`` / per-slot Python
     loops.  Every table entry is produced by the *same* float expressions
     the object path evaluates (``bandwidth / duration`` for slopes,
     ``index * period`` for starts, ``gray_decode(packed bits)`` for
-    symbols), which is what keeps the fast path bit-identical.
+    symbols), which keeps layout-based synthesis bit-identical to the encoder's.
     """
 
     def __init__(self, config: DownlinkTrialConfig) -> None:
         from repro.core.cssk import gray_decode
 
         alphabet = config.alphabet
-        # Runs the same platform-limit validation the per-frame encoder
-        # path performs, so both modes reject identical configurations.
-        DownlinkEncoder(radar_config=config.radar_config, alphabet=alphabet)
         self.alphabet = alphabet
         self.num_payload = config.payload_symbols_per_frame
         fields = config.fields
@@ -318,31 +261,31 @@ class _DownlinkBatchLayout:
         return durations, slopes
 
 
-def _downlink_chunk_batched(
+def _downlink_chunk(
     config: DownlinkTrialConfig, spec: SeedSpec, indices
 ) -> "list[tuple[int, int, int]]":
-    """Batched-frame downlink chunk — bit-identical to :func:`_downlink_chunk`.
+    """One chunk of downlink frames -> (bit_errors, bits, sync_failed) per trial.
 
     The chunk's frames are synthesized and decoded as stacked
     ``(frames, samples)`` array ops (see
     :func:`repro.tag.frontend._synthesize_batch` and
-    :meth:`repro.tag.decoder_dsp.TagDecoder.decode_aligned_batch`); trial
-    RNG streams are consumed in exactly the oracle's draw order, so the
-    per-trial tuples match the per-frame chunk bit for bit.  Partial
-    batching applies in two modes: active impairments keep per-frame
-    synthesis (injection needs per-capture slot metadata and its own RNG
-    draws) while still decoding the chunk batched, and ``full_sync``
-    keeps per-capture OTA decoding (period estimation + preamble search
-    is inherently sequential) on top of batched synthesis.  Only the
-    combination — ``full_sync`` *with* active impairments — falls back
-    wholesale, since neither stage can then be stacked.
+    :meth:`repro.tag.decoder_dsp.TagDecoder.decode_aligned_batch`).  Each
+    trial draws its payload, then its capture noise, then any impairment
+    from its own index-keyed stream, so a trial's tuple does not depend
+    on which chunk it lands in.  Two stages stay per frame: active
+    impairments synthesize each frame through the encoder (injection
+    needs per-capture slot metadata and its own RNG draws), and
+    ``full_sync`` decodes each capture on its own (period estimation and
+    preamble search are sequential).  The per-frame reference this chunk
+    is checked against lives in the test suite.
     """
     budget = config.resolved_budget()
+    # Platform-limit validation: every configuration the encoder rejects
+    # is rejected here too, whichever synthesis route the chunk takes.
+    encoder = DownlinkEncoder(radar_config=config.radar_config, alphabet=config.alphabet)
     impair = config.impairments if (
         config.impairments is not None and config.impairments.active
     ) else None
-    if config.full_sync and impair is not None:
-        return _downlink_chunk(config, spec, indices)
     clock_offset_ppm = impair.clock_offset_ppm() if impair is not None else 0.0
     decoder = TagDecoder(
         config.alphabet, fields=config.fields, clock_offset_ppm=clock_offset_ppm
@@ -356,9 +299,6 @@ def _downlink_chunk_batched(
     payloads = [random_bits(bits_per_frame, rng=stream) for stream in streams]
 
     if impair is not None:
-        encoder = DownlinkEncoder(
-            radar_config=config.radar_config, alphabet=config.alphabet
-        )
         captures = []
         for payload, stream in zip(payloads, streams):
             packet = DownlinkPacket.from_bits(config.alphabet, payload, fields=config.fields)
@@ -401,9 +341,8 @@ def _downlink_chunk_batched(
 
     results = []
     if config.full_sync:
-        # OTA sync: batched synthesis above, but period estimation and
-        # preamble search stay per capture.  decode() draws no RNG, so the
-        # oracle's stream order is already fully consumed at this point.
+        # OTA sync: period estimation and preamble search run per capture.
+        # decode() draws no RNG, so every stream is fully consumed already.
         with obs.span("engine.downlink.batch.decode_full_sync", frames=len(captures)):
             for payload, capture in zip(payloads, captures):
                 counter = ErrorCounter()
@@ -425,10 +364,11 @@ def _downlink_chunk_batched(
         for payload, packet in zip(payloads, decoded):
             counter = ErrorCounter()
             counter.update(payload, packet.bits)
-            # decode_aligned never loses sync (genie alignment), matching the
-            # per-frame chunk's always-zero sync_failed in this mode.
+            # Genie alignment never loses sync.
             results.append((counter.bit_errors, counter.bits_total, 0))
     if _obs_runtime._enabled:
+        # Incremented inside the (possibly worker) process; the executor
+        # serializes the registry delta back with the chunk results.
         obs.inc("engine.downlink.trials", len(results))
         obs.inc("engine.downlink.sync_failures", sum(r[2] for r in results))
     return results
@@ -502,22 +442,15 @@ def run_downlink_trials(
 
     budget = config.resolved_budget()
     plan = execution if execution is not None else ExecutionPlan()
-    # Both chunk bodies are bit-identical by contract (the differential
-    # suite enforces it), so the store fingerprint deliberately excludes
-    # the execution plan: batched and per-frame runs share cache entries.
-    chunk_fn = _downlink_chunk_batched if plan.batch_frames else _downlink_chunk
     trajectory = None
     if adaptive is not None:
         from repro.sim.adaptive import run_adaptive_trials
 
         with obs.span(
-            "engine.downlink",
-            max_frames=adaptive.max_frames,
-            batched=plan.batch_frames,
-            adaptive=True,
+            "engine.downlink", max_frames=adaptive.max_frames, adaptive=True
         ):
             outcome = run_adaptive_trials(
-                chunk_fn,
+                _downlink_chunk,
                 config,
                 adaptive,
                 spec,
@@ -527,11 +460,9 @@ def run_downlink_trials(
         per_trial = outcome.per_trial
         trajectory = outcome.summary()
     else:
-        with obs.span(
-            "engine.downlink", frames=config.num_frames, batched=plan.batch_frames
-        ):
+        with obs.span("engine.downlink", frames=config.num_frames):
             per_trial, _report = map_trials(
-                chunk_fn, config, config.num_frames, spec, plan
+                _downlink_chunk, config, config.num_frames, spec, plan
             )
     counter = ErrorCounter()
     sync_failures = 0

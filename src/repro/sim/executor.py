@@ -223,18 +223,6 @@ class ExecutionPlan:
         indices once any chunk exhausts its retries; ``"serial"``
         degrades gracefully instead, re-running every unfinished chunk
         serially in the parent process (bit-identical, pool-proof).
-    ``batch_frames``
-        Run each chunk through the *batched* signal-chain fast path where
-        the engine supports it (currently the downlink BER engine): the
-        chunk's frames are synthesized, scored, and decoded as stacked
-        ``(frames, samples)`` array ops instead of a per-frame Python
-        loop.  Results are **bit-identical** to the per-frame path — the
-        per-frame implementation stays the reference oracle, enforced by
-        ``tests/unit/test_batch_equivalence.py`` — so the flag is purely
-        a throughput knob and composes freely with workers, chunking,
-        retries, and the experiment store (cache fingerprints exclude the
-        execution plan on purpose: both modes share entries).  Engines
-        without a batched path ignore the flag.
     """
 
     workers: int = 1
@@ -245,7 +233,6 @@ class ExecutionPlan:
     max_retries: int = 2
     chunk_timeout_s: "float | None" = None
     on_failure: str = "raise"
-    batch_frames: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:

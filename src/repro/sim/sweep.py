@@ -23,12 +23,6 @@ recovery counters land in ``metadata["_execution"]["faults"]``), and
 retry exhaustion raises :class:`repro.errors.ExecutorError` naming the
 failing point indices — see :class:`repro.sim.executor.ExecutionPlan`'s
 ``max_retries`` / ``chunk_timeout_s`` / ``on_failure`` knobs.
-
-The plan's ``batch_frames`` knob also rides through unchanged: a sweep
-whose ``evaluate`` forwards ``execution`` into a batch-aware engine
-(e.g. :func:`repro.sim.engine.run_downlink_trials`) gets the stacked
-``(frames, samples)`` fast path per point, bit-identical to the
-per-frame oracle — so batched and per-frame sweeps share store entries.
 """
 
 from __future__ import annotations

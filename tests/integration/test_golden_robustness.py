@@ -85,18 +85,6 @@ class TestGoldenCurve:
         for name, expected in GOLDEN.items():
             assert getattr(pooled, name) == expected, name
 
-    def test_batched_plan_matches_pins(self):
-        """``batch_frames=True`` reproduces the same seed-0 curve.
-
-        The robustness harness runs impairment-laden frames, so where the
-        downlink engine takes the batched path it uses the hybrid
-        per-frame-synthesize / batched-decode route, and engines without a
-        batched path ignore the knob entirely — either way the pinned
-        curve must not move."""
-        batched = _run_curve(execution=ExecutionPlan(batch_frames=True))
-        for name, expected in GOLDEN.items():
-            assert getattr(batched, name) == expected, name
-
 
 class TestGoldenLocalizationRate:
     """Seed-0 pin for the localization success fraction (PR 8)."""

@@ -315,10 +315,11 @@ def test_engine_adaptive_batched_plan_bit_exact():
     adaptive = AdaptiveConfig(
         target_rel_width=0.6, min_frames=4, max_frames=24, batch_frames=4
     )
-    per_frame = run_downlink_trials(config, rng=0, adaptive=adaptive)
-    batched = run_downlink_trials(
+    # One chunk per round (4-frame batches) vs one chunk per frame.
+    batched = run_downlink_trials(config, rng=0, adaptive=adaptive)
+    per_frame = run_downlink_trials(
         config, rng=0, adaptive=adaptive,
-        execution=ExecutionPlan(batch_frames=True),
+        execution=ExecutionPlan(chunk_size=1),
     )
     assert batched.bit_errors == per_frame.bit_errors
     assert batched.bits_total == per_frame.bits_total

@@ -45,6 +45,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ber", "--chunk-timeout", "0"])
 
+    def test_no_engine_path_flag(self):
+        # The downlink engine has one path; there is nothing to select.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ber", "--batch-frames"])
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
