@@ -91,9 +91,10 @@ class ADC:
         analog = np.interp(sample_times, source_times, x)
         return self.quantize(analog)
 
-    def quantize(self, samples: np.ndarray) -> np.ndarray:
-        """Quantize already-sampled values (skip resampling)."""
-        return quantize_uniform(samples, self.bits, self.full_scale_v)
+    def quantize(self, samples: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantize already-sampled values (skip resampling), into ``out``
+        in place when given (see :func:`~repro.utils.dsp.quantize_uniform`)."""
+        return quantize_uniform(samples, self.bits, self.full_scale_v, out=out)
 
     def with_full_scale(self, full_scale_v: float) -> "ADC":
         """The same converter with a different clipping range.

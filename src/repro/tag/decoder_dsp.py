@@ -238,30 +238,50 @@ class TagDecoder:
     def _scoring_cache(self, fs: float) -> dict:
         """Vectorized hypothesis bank for sample rate ``fs``.
 
-        Builds, once per rate, an (H x 3 x N_slot) stack of gated-model
-        projectors so one tensor product scores every hypothesis — the
-        simulator-side stand-in for the MCU's per-candidate Goertzel
-        evaluations plus an envelope-duration check.
+        Builds an (H x 3 x N_slot) stack of gated-model projectors so one
+        tensor product scores every hypothesis — the simulator-side
+        stand-in for the MCU's per-candidate Goertzel evaluations plus an
+        envelope-duration check — together with the data-hypothesis views
+        :meth:`decode_aligned_batch` reads.  The bank is rebuilt whenever
+        one of its inputs changes: ``fs``, ``window_fraction``,
+        ``clock_offset_ppm`` or the alphabet.
         """
+        key = (fs, self.window_fraction, self.clock_offset_ppm, self.alphabet)
         cache = getattr(self, "_score_cache", None)
-        if cache is not None and cache["fs"] == fs:
+        if cache is not None and cache["key"] == key:
             return cache
         table = self._hypothesis_table(fs)
         n_slot = max(int(round(self.alphabet.chirp_period_s * fs)), 4)
         projectors = np.zeros((len(table), 3, n_slot))
-        lengths = np.zeros(len(table), dtype=int)
         for row, (_, _, beat, n_on) in enumerate(table):
-            n_eff = min(n_on, n_slot)
             projectors[row] = _cached_slot_projector(
-                float(beat), int(n_eff), int(n_slot), float(fs)
+                float(beat), int(min(n_on, n_slot)), int(n_slot), float(fs)
             )
-            lengths[row] = n_eff
+        data_rows = np.array([row for row, entry in enumerate(table) if entry[0] == "data"])
+        data_projectors = projectors[data_rows]
         cache = {
-            "fs": fs,
+            "key": key,
             "table": table,
             "projectors": projectors,
-            "lengths": lengths,
             "n_slot": n_slot,
+            # The exact kernel scores each hypothesis slice on its own, so
+            # scoring only the data rows gives the same bits as scoring
+            # every row and slicing.
+            "data_projectors": data_projectors,
+            # (n_slot, 3 * H_data): column j * H_data + h is data hypothesis
+            # h's j-th projector row, so ``windows @ data_pflat`` scores
+            # every window in one GEMM, one contiguous block per rank.
+            "data_pflat": np.ascontiguousarray(
+                data_projectors.transpose(1, 0, 2).reshape(-1, n_slot).T
+            ),
+            "data_symbols": np.array([table[row][1] for row in data_rows], dtype=int),
+            "data_beats": np.array([table[row][2] for row in data_rows]),
+            "bits_table": np.stack(
+                [
+                    self.alphabet.bits_for_symbol(s)
+                    for s in range(self.alphabet.num_data_symbols)
+                ]
+            ),
         }
         self._score_cache = cache
         return cache
@@ -337,18 +357,63 @@ class TagDecoder:
             windows[index, :n] = x[:n]
         return windows
 
-    def _score_windows(self, windows: np.ndarray, cache: dict) -> np.ndarray:
+    def _score_windows(self, windows: np.ndarray, projectors: np.ndarray) -> np.ndarray:
         """(batch, num_hypotheses) score matrix for padded slot windows.
 
-        The stacked product keeps an explicit trailing column axis
+        This is the exact scoring kernel: every public score comes from
+        it.  The stacked product keeps an explicit trailing column axis
         (``matmul(P, W[:, None, :, None])``) so BLAS applies the *same*
         per-slice matrix-vector kernel as a single-slot ``P @ w`` — each
         row's scores are bitwise independent of the batch it rides in,
-        which keeps every argmax decision (and the golden BER pins)
-        identical however the slots are grouped.
+        which keeps every score identical however the slots are grouped.
+        :meth:`_data_argmax` reaches the same decisions faster and falls
+        back to this kernel for any row it cannot certify.
         """
-        components = np.matmul(cache["projectors"], windows[:, None, :, None])[..., 0]
+        components = np.matmul(projectors, windows[:, None, :, None])[..., 0]
         return np.sum(components**2, axis=2)
+
+    def _data_argmax(self, windows: np.ndarray, cache: dict) -> np.ndarray:
+        """Best data hypothesis per window row, certified against the exact kernel.
+
+        Returns, for every row, the index (into the data hypotheses) that
+        ``argmax`` over :meth:`_score_windows` picks — bit for bit — while
+        scoring with one GEMM, ``windows @ data_pflat``, whose scores may
+        differ from the exact ones in their last bits.  The decision is
+        kept only where a floating-point error bound proves it:
+
+        * Each projector row ``p`` is a unit vector, so any summation
+          order computes ``p . w`` within ``gamma_n ||w||`` of its true
+          value (``gamma_n ~ n eps``, ``n = n_slot``).  A rank-3 score is
+          then within ``(2 sqrt(3) + 3 / n) n eps ||w||^2`` of the true
+          score, in the GEMM and in the exact kernel alike.
+        * Two such scores differ by at most ``~7 (n + 1) eps ||w||^2``;
+          the bound below, ``64 (n + 8) eps ||w||^2`` plus the smallest
+          normal float (for underflow), leaves a wide margin over that.
+        * Where the GEMM's best score beats its runner-up by more than
+          the bound, the exact scores have the same strict maximum.
+
+        Every other row (``not margin > bound``, which also catches
+        zero, tied and non-finite rows) is rescored with the exact kernel.
+        """
+        n_rows, n_slot = windows.shape
+        num_data = cache["data_symbols"].size
+        components = windows @ cache["data_pflat"]
+        components *= components
+        scores = components[:, :num_data] + components[:, num_data : 2 * num_data]
+        scores += components[:, 2 * num_data :]
+        pick = np.argmax(scores, axis=1)
+        every_row = np.arange(n_rows)
+        best = scores[every_row, pick]
+        scores[every_row, pick] = -np.inf
+        margin = best - scores.max(axis=1)
+        finfo = np.finfo(float)
+        energy = np.einsum("ij,ij->i", windows, windows)
+        bound = 64.0 * (n_slot + 8) * finfo.eps * energy + finfo.tiny
+        unproven = np.flatnonzero(~(margin > bound))
+        if unproven.size:
+            exact = self._score_windows(windows[unproven], cache["data_projectors"])
+            pick[unproven] = np.argmax(exact, axis=1)
+        return pick
 
     def score_slots(self, slot_samples, fs: float) -> np.ndarray:
         """Score every hypothesis on a batch of slots.
@@ -361,7 +426,7 @@ class TagDecoder:
         """
         cache = self._scoring_cache(fs)
         windows = self._window_matrix(slot_samples, cache["n_slot"])
-        return self._score_windows(windows, cache)
+        return self._score_windows(windows, cache["projectors"])
 
     def decode_aligned_batch(
         self,
@@ -372,10 +437,12 @@ class TagDecoder:
     ) -> "list[DecodedPacket]":
         """Genie-aligned decode of equal-length captures (see :meth:`decode_aligned`).
 
-        Packet ``b`` of the result depends only on ``captures[b]``: each
-        payload slot's windows are scored for the whole batch in one
-        stacked product, and every row's scores are bitwise independent
-        of the batch (see :meth:`_score_windows`).  Raises ``ValueError``
+        Packet ``b`` of the result depends only on ``captures[b]``: the
+        ``(K*batch, n_slot)`` payload window matrix is scored against the
+        data hypotheses in one GEMM, and each row's decision is certified
+        against, or recomputed with, the exact per-slice kernel (see
+        :meth:`_data_argmax`), so every symbol and beat is the argmax of
+        :meth:`_score_windows` on that row alone.  Raises ``ValueError``
         for an empty batch, a ragged one (captures must share sample rate
         and sample count — the executor's per-chunk trials always do) or
         a negative ``skip_slots``.
@@ -424,32 +491,13 @@ class TagDecoder:
                 rows[:, :width] = stacked[:, begin : begin + width]
             num_blocks += 1
         if num_blocks:
-            windows = windows_full[: num_blocks * batch]
-            data_rows = np.array(
-                [row for row, entry in enumerate(cache["table"]) if entry[0] == "data"]
-            )
-            data_symbols = np.array(
-                [cache["table"][row][1] for row in data_rows], dtype=int
-            )
-            data_beats = np.array([cache["table"][row][2] for row in data_rows])
-            # Only the data-hypothesis scores feed the argmax, and the
-            # stacked matmul computes each hypothesis slice independently,
-            # so restricting the projector stack to the data rows yields
-            # the same scores — bitwise — as scoring all rows and slicing.
-            data_cache = {"projectors": cache["projectors"][data_rows]}
-            scores = self._score_windows(windows, data_cache)
-            pick = np.argmax(scores, axis=1)
-            symbols_grid = data_symbols[pick].reshape(num_blocks, batch)
-            beats_grid = data_beats[pick].reshape(num_blocks, batch)
+            pick = self._data_argmax(windows_full[: num_blocks * batch], cache)
+            symbols_grid = cache["data_symbols"][pick].reshape(num_blocks, batch)
+            beats_grid = cache["data_beats"][pick].reshape(num_blocks, batch)
         else:
             symbols_grid = np.empty((0, len(captures)), dtype=int)
             beats_grid = np.empty((0, len(captures)))
-        bits_table = np.stack(
-            [
-                self.alphabet.bits_for_symbol(s)
-                for s in range(self.alphabet.num_data_symbols)
-            ]
-        )
+        bits_table = cache["bits_table"]
         # Column-major copies so the per-packet views below are cheap;
         # ``tolist`` yields plain Python ints for ``DecodedPacket.symbols``.
         symbols_by_capture = np.ascontiguousarray(symbols_grid.T)

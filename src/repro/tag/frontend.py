@@ -359,10 +359,11 @@ def _synthesize_batch(
     )
     rolloffs = gains[inverse].reshape(beats.shape)
 
-    max_on = int((stop_samples - start_samples[None, :]).max(initial=0))
-    time_base = np.arange(max(max_on, 0)) / fs
-    sample_index = np.arange(max(max_on, 0))
+    max_on = max(int((stop_samples - start_samples[None, :]).max(initial=0)), 0)
+    time_base = np.arange(max_on) / fs
+    sample_index = np.arange(max_on)
     signal = np.zeros((batch, total_samples))
+    scratch = np.empty((batch, max_on))
     for slot in range(active.shape[1]):
         rows = np.flatnonzero(active[:, slot])
         if rows.size == 0:
@@ -381,45 +382,53 @@ def _synthesize_batch(
         wrap = (
             float(wrap_fractions[slot]) if wrap_fractions is not None else float("nan")
         )
-        # The fused in-place chain below performs the oracle's exact
-        # elementwise operation sequence — cos(2*pi*beat*t + phase), then
-        # *rolloff, then (1 +), then *amplitude — without the per-step
-        # temporaries, so every written value is bit-identical.
+        # A slot every frame fills to the same stop is synthesized straight
+        # into the signal block; any other goes through ``scratch``.
+        uniform = full_batch and int(lengths.min()) == n_max
+        values = signal[:, start : start + n_max] if uniform else scratch[: rows.size, :n_max]
+        # The in-place chain below performs the oracle's exact elementwise
+        # operation sequence — cos(2*pi*beat*t + phase), then *rolloff,
+        # then (1 +), then *amplitude — without per-step temporaries, so
+        # every written value is bit-identical.
         if np.isfinite(wrap) and 0.0 < wrap < 1.0:
             wrap_time = wrap * durations_s[take, slot][:, None]
             shifted = np.where(t < wrap_time, t, t - wrap_time)
-            angle = (2.0 * np.pi * beat) * shifted
+            np.multiply(2.0 * np.pi * beat, shifted, out=values)
         else:
-            angle = (2.0 * np.pi * beat) * t
-        angle += phase
-        values = np.cos(angle, out=angle)
+            np.multiply(2.0 * np.pi * beat, t, out=values)
+        values += phase
+        np.cos(values, out=values)
         values *= rolloff
         if frontend.include_dc:
             values += 1.0
         values *= amplitude
+        if uniform:
+            continue
+        # Each row writes only its own [start, stop) samples, as the
+        # oracle does: past a row's stop the block keeps what it held.
+        mask = sample_index[:n_max][None, :] < lengths[:, None]
         if full_batch:
-            # Rows shorter than the block keep their zero tail (the oracle
-            # never writes past each slot's own stop index).
-            if int(lengths.min()) == n_max:
-                signal[:, start : start + n_max] = values
-            else:
-                mask = sample_index[:n_max][None, :] < lengths[:, None]
-                signal[:, start : start + n_max] = np.where(mask, values, 0.0)
+            np.copyto(signal[:, start : start + n_max], values, where=mask)
         else:
-            mask = sample_index[:n_max][None, :] < lengths[:, None]
-            signal[rows, start : start + n_max] = np.where(mask, values, 0.0)
+            block = signal[rows, start : start + n_max]
+            np.copyto(block, values, where=mask)
+            signal[rows, start : start + n_max] = block
 
     for row, generator in enumerate(generators):
         signal[row] += generator.normal(0.0, noise_rms, total_samples)
 
     # Conditional quantization per frame, as _adc_in_range decides per
     # capture; quantize_uniform is elementwise, so quantizing the selected
-    # rows as a block is bit-identical to per-row calls.
+    # rows as a block is bit-identical to per-row calls.  The peak is
+    # max(max, -min), the same value as max(|x|) without the |x| block.
     adc = frontend.budget.adc
-    peaks = np.max(np.abs(signal), axis=1)
+    peaks = np.maximum(signal.max(axis=1), -signal.min(axis=1))
     hot = peaks > 10.0 * adc.lsb_v
-    if np.any(hot):
-        signal[hot] = adc.quantize(signal[hot])
+    if hot.all():
+        adc.quantize(signal, out=signal)
+    elif hot.any():
+        rows = signal[hot]
+        signal[hot] = adc.quantize(rows, out=rows)
     return signal
 
 

@@ -328,11 +328,15 @@ def envelope_rc_lowpass_fast(
 
 
 def quantize_uniform(
-    samples: np.ndarray, bits: int, full_scale: float
+    samples: np.ndarray, bits: int, full_scale: float, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Mid-rise uniform quantization with clipping at +/- ``full_scale``.
 
-    Models an ideal ``bits``-bit ADC transfer function.
+    Models an ideal ``bits``-bit ADC transfer function.  ``out`` (a float
+    array shaped like ``samples``, possibly ``samples`` itself) receives
+    the result in place; otherwise one new array does.  Both forms run the
+    same clip, ``/ step``, floor, ``+ 0.5``, ``* step`` sequence, so they
+    agree bit for bit.
     """
     if bits < 1:
         raise ConfigurationError(f"bits must be >= 1, got {bits}")
@@ -340,8 +344,15 @@ def quantize_uniform(
         raise ConfigurationError(f"full_scale must be positive, got {full_scale!r}")
     levels = 2**bits
     step = 2.0 * full_scale / levels
-    clipped = np.clip(np.asarray(samples, dtype=float), -full_scale, full_scale - step / 2)
-    return (np.floor(clipped / step) + 0.5) * step
+    x = np.asarray(samples, dtype=float)
+    if out is None:
+        out = np.empty_like(x)
+    np.clip(x, -full_scale, full_scale - step / 2, out=out)
+    out /= step
+    np.floor(out, out=out)
+    out += 0.5
+    out *= step
+    return out
 
 
 def next_pow2(n: int) -> int:

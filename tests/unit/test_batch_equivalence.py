@@ -20,9 +20,10 @@ Layer by layer:
 * tag frontend (``tag.frontend.capture_batch``) vs sequential
   ``capture`` under matched RNG streams;
 * tag decoder (``tag.decoder_dsp``): ``score_slots`` / ``score_slot``
-  vs the per-slot ``projectors @ window`` reference, and
+  vs the per-slot ``projectors @ window`` reference,
   ``decode_aligned_batch`` / ``decode_aligned`` vs the per-slot decode
-  loop;
+  loop, and the batched decode's certified GEMM argmax vs the exact
+  kernel's argmax on windows bisected to a tie;
 * Monte-Carlo engine: ``_downlink_chunk`` vs the per-frame reference
   chunk over SNR pins, clutter, impairment severities and full sync,
   with and without impairments.
@@ -34,6 +35,8 @@ Hypothesis drives the input space (symbol sizes, sample rates, SNRs,
 severities, batch shapes); the derandomized profile keeps runs
 reproducible.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -66,6 +69,7 @@ from repro.waveform.chirp import (
     sample_chirp_baseband,
     sample_chirp_real,
 )
+from repro.waveform.frame import ChirpSlot, FrameSchedule
 from repro.waveform.parameters import ChirpParameters
 
 from downlink_oracle import (
@@ -366,6 +370,92 @@ class TestFrontendCaptureBatching:
             )
             assert np.array_equal(batched[index].samples, reference.samples)
 
+    def test_touching_slots_on_a_fractional_sample_grid(self):
+        # Hand-built frames on a grid of ~10.5-sample slots: chirps filling
+        # their slot (or the 1e-15 s more ChirpSlot allows) touch or, after
+        # rounding, overlap the next slot by one sample; durations differ
+        # per frame.  Each slot write must overwrite exactly the samples
+        # the per-frame capture writes, in slot order, never add to them.
+        config = _trial_config(3)
+        frontend = AnalyticTagFrontend(
+            budget=config.resolved_budget(),
+            delta_t_s=config.alphabet.decoder.delta_t_s,
+        )
+        fs = frontend.budget.adc.sample_rate_hz
+        period = (10.5 - 5e-10) / fs
+        over = period + 1e-15
+        durations = [
+            [over, over, 0.5 * period, period, over, period],
+            [over, 0.6 * period, period, over, period, 0.3 * period],
+            [0.4 * period, over, period, 0.8 * period, over, over],
+        ]
+        frames = [
+            FrameSchedule(
+                slots=tuple(
+                    ChirpSlot(
+                        chirp=ChirpParameters(
+                            start_frequency_hz=9e9,
+                            bandwidth_hz=1e9 * duration / period,
+                            duration_s=duration,
+                        ),
+                        start_time_s=k * period,
+                        period_s=period,
+                    )
+                    for k, duration in enumerate(row)
+                )
+            )
+            for row in durations
+        ]
+        # Slot 0 of frame 0 runs one sample into slot 1.
+        assert round(over * fs) > round(period * fs)
+        spec = SeedSpec.from_rng(13)
+        batched = frontend.capture_batch(
+            frames, 2.0, rngs=[spec.stream(i) for i in range(len(frames))]
+        )
+        for index, frame in enumerate(frames):
+            reference = frontend.capture(frame, 2.0, rng=spec.stream(index))
+            assert np.array_equal(batched[index].samples, reference.samples)
+
+    def test_mixed_quantization_mask(self):
+        # Each frame is quantized only when its own peak clears 10 LSB.
+        # Put that threshold between the frames' peaks, so part of the
+        # batch is quantized and part is not, and hold every row to the
+        # per-frame capture.
+        config = _trial_config(3)
+        frames, _ = _encoded_frames(config, count=6, seed=5)
+        budget = config.resolved_budget()
+        spec = SeedSpec.from_rng(5)
+
+        def batch_with(adc):
+            frontend = AnalyticTagFrontend(
+                budget=dataclasses.replace(budget, adc=adc),
+                delta_t_s=config.alphabet.decoder.delta_t_s,
+            )
+            captures = frontend.capture_batch(
+                frames,
+                config.distance_m,
+                rngs=[spec.stream(i) for i in range(len(frames))],
+                snr_override_db=3.0,
+            )
+            return frontend, captures
+
+        # A full scale far above the signal quantizes nothing.
+        _, raw = batch_with(budget.adc.with_full_scale(1e9))
+        peaks = np.sort([np.max(np.abs(c.samples)) for c in raw])
+        threshold = 0.5 * (peaks[2] + peaks[3])
+        adc = budget.adc.with_full_scale(threshold / 10.0 * 2**budget.adc.bits / 2.0)
+        hot = peaks > 10.0 * adc.lsb_v
+        assert hot.any() and not hot.all()
+        frontend, batched = batch_with(adc)
+        for index, frame in enumerate(frames):
+            reference = frontend.capture(
+                frame,
+                config.distance_m,
+                rng=spec.stream(index),
+                snr_override_db=3.0,
+            )
+            assert np.array_equal(batched[index].samples, reference.samples)
+
     def test_empty_and_ragged_batches_rejected(self):
         config = _trial_config(3)
         frontend = AnalyticTagFrontend(
@@ -394,6 +484,37 @@ def _assert_packets_equal(got, want):
     assert got.period == want.period
     assert got.payload_start_slot == want.payload_start_slot
     assert got.num_sync_slots_seen == want.num_sync_slots_seen
+
+
+def _near_tie_windows(decoder, fs, *, pairs, seed):
+    """``2 * pairs`` windows, each pair straddling an exact-argmax flip.
+
+    Bisects the segment between two random windows (random scale) whose
+    exact data argmax differs until its two end parameters are adjacent
+    floats; the end windows then score within rounding of a tie between
+    two hypotheses.
+    """
+    projectors = decoder._scoring_cache(fs)["data_projectors"]
+    n_slot = projectors.shape[2]
+
+    def exact_pick(window):
+        return int(np.argmax(decoder._score_windows(window[None], projectors)[0]))
+
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < 2 * pairs:
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=(2, n_slot))
+        pick_a = exact_pick(a)
+        if pick_a == exact_pick(b):
+            continue
+        lo, hi = 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if exact_pick(a + mid * (b - a)) == pick_a:
+                lo = mid
+            else:
+                hi = mid
+        found += [a + lo * (b - a), a + hi * (b - a)]
+    return np.stack(found)
 
 
 class TestDecoderBatching:
@@ -480,6 +601,58 @@ class TestDecoderBatching:
             decoder.decode_aligned(capture, **kwargs),
             reference_decode_aligned(decoder, capture, **kwargs),
         )
+
+    @pytest.mark.parametrize("symbol_bits", [3, 5])
+    def test_certified_argmax_matches_exact_kernel_at_near_ties(self, symbol_bits):
+        # Pairs of windows bisected to the float boundary where the exact
+        # argmax flips, plus all-zero and non-finite windows: the batched
+        # decode must pick the exact kernel's argmax on every row even
+        # where a plain GEMM's scores pick another hypothesis.
+        fs = 1e6
+        decoder = TagDecoder(ALPHABETS[symbol_bits])
+        cache = decoder._scoring_cache(fs)
+        n_slot = cache["n_slot"]
+        near_ties = _near_tie_windows(decoder, fs, pairs=24, seed=symbol_bits)
+        special = np.zeros((4, n_slot))
+        special[3, n_slot // 2] = np.nan
+        windows = np.concatenate([near_ties, special])
+        batch = 4
+        num_slots = windows.shape[0] // batch
+        assert num_slots * batch == windows.shape[0]
+        period_s = decoder.alphabet.chirp_period_s
+        starts = [int(round(k * period_s * fs)) for k in range(num_slots)]
+        assert starts == [k * n_slot for k in range(num_slots)]
+        # Window row k * batch + b is payload slot k of capture b, the
+        # order decode_aligned_batch stacks its window matrix in.
+        captures = [
+            TagCapture(
+                samples=windows[b::batch].reshape(-1).copy(), sample_rate_hz=fs
+            )
+            for b in range(batch)
+        ]
+        decoded = decoder.decode_aligned_batch(
+            captures, num_payload_symbols=num_slots, skip_slots=0
+        )
+        projectors = cache["data_projectors"]
+        with np.errstate(invalid="ignore"):
+            exact = np.argmax(decoder._score_windows(windows, projectors), axis=1)
+            gemm = (windows @ projectors.reshape(-1, n_slot).T).reshape(
+                len(windows), -1, 3
+            )
+            raw = np.argmax(np.sum(gemm**2, axis=2), axis=1)
+        exact = exact.reshape(num_slots, batch)
+        raw = raw.reshape(num_slots, batch)
+        data_symbols = [
+            symbol for kind, symbol, _, _ in cache["table"] if kind == "data"
+        ]
+        data_beats = [beat for kind, _, beat, _ in cache["table"] if kind == "data"]
+        for b, packet in enumerate(decoded):
+            assert packet.symbols == [data_symbols[i] for i in exact[:, b]]
+            assert packet.measured_beats_hz.tolist() == [
+                data_beats[i] for i in exact[:, b]
+            ]
+        # The near ties have teeth: a plain GEMM decides some differently.
+        assert np.count_nonzero(raw != exact) >= 1
 
     def test_negative_skip_slots_rejected(self):
         decoder = TagDecoder(ALPHABETS[5])

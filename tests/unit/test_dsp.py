@@ -172,6 +172,32 @@ class TestQuantizer:
         with pytest.raises(ConfigurationError):
             quantize_uniform(np.ones(4), 0, 1.0)
 
+    @pytest.mark.parametrize("bits,full_scale", [(1, 1.0), (8, 0.5), (12, 1.0)])
+    def test_in_place_matches_allocating_bitwise(self, bits, full_scale):
+        step = 2.0 * full_scale / 2**bits
+        levels = np.arange(-(2 ** (bits - 1)), 2 ** (bits - 1) + 1) * step
+        x = np.concatenate(
+            [
+                [full_scale, -full_scale, np.nextafter(full_scale, 0.0)],
+                [full_scale - step / 2, full_scale - step, -full_scale + step],
+                levels,  # exact step boundaries
+                np.nextafter(levels, np.inf),
+                np.nextafter(levels, -np.inf),
+                [0.0, -0.0, 5e-324, -5e-324],
+                [3.0 * full_scale, -3.0 * full_scale, 1e300, -1e300, np.inf, -np.inf],
+            ]
+        )
+        want = quantize_uniform(x, bits, full_scale)
+        got = x.copy()
+        assert quantize_uniform(got, bits, full_scale, out=got) is got
+        # Compare raw bit patterns: -0.0 and +0.0 must agree too.
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        block = np.stack([x, x[::-1]])
+        out = np.empty_like(block)
+        quantize_uniform(block, bits, full_scale, out=out)
+        assert np.array_equal(out[0].view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(out[1].view(np.uint64), want[::-1].view(np.uint64))
+
 
 class TestNextPow2:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 4), (1000, 1024), (1024, 1024)])

@@ -121,6 +121,40 @@ class TestScoring:
         with pytest.raises(ValueError):
             TagDecoder(alphabet, window_fraction=0.05)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"clock_offset_ppm": 20000.0},
+            {"window_fraction": 0.8},
+            {"alphabet": "small"},
+            {"clock_offset_ppm": -5000.0, "window_fraction": 0.9},
+        ],
+    )
+    def test_settings_changed_after_a_decode_reach_the_scores(
+        self, link, alphabet, small_alphabet, setting
+    ):
+        # The hypothesis bank is cached per decoder; changing any of its
+        # inputs after the first decode must rebuild it, so the mutated
+        # decoder agrees with one built with the new settings.
+        setting = {
+            name: small_alphabet if value == "small" else value
+            for name, value in setting.items()
+        }
+        _, capture = make_capture(link, alphabet, [3, 17, 29, 8], snr=20.0)
+        fs = capture.sample_rate_hz
+        decoder = TagDecoder(alphabet)
+        decoder.decode_aligned(capture, num_payload_symbols=4)
+        for name, value in setting.items():
+            setattr(decoder, name, value)
+        fresh = TagDecoder(setting.pop("alphabet", alphabet), **setting)
+        got = decoder.decode_aligned(capture, num_payload_symbols=4)
+        want = fresh.decode_aligned(capture, num_payload_symbols=4)
+        assert got.symbols == want.symbols
+        assert np.array_equal(got.measured_beats_hz, want.measured_beats_hz)
+        assert np.array_equal(got.bits, want.bits)
+        slot = capture.slot_samples(PacketFields().preamble_length)
+        assert decoder.score_slot(slot, fs) == fresh.score_slot(slot, fs)
+
 
 class TestPeriodEstimation:
     def test_snaps_to_nominal(self, link, alphabet):
