@@ -44,13 +44,34 @@ ending: ``"raise"`` (default) aborts with
 degradation path for pools that keep breaking.  Every retry, rebuild,
 timeout, and serial recovery is counted on the :class:`ExecutionReport`
 (and thus lands in ``metadata["_execution"]["faults"]``).
+
+**Pool lifetime.**  Starting a pool costs tens of milliseconds, more than
+a small sweep's whole trial map, so a map *leases* its pool instead of
+owning it.  A pool that finishes a map with nothing pending and nothing
+exhausted is parked in an idle slot keyed by ``(process, workers, start
+method, obs.worker_config())``; the next map with the same key takes it
+(and its warm workers) out of the slot.  Two concurrent maps never share
+a pool: the second one finds the slot empty and starts its own, and when
+both finish the later one finds the slot taken and is killed.  A pool
+that broke, timed out or still holds chunks is killed exactly as
+before, never parked.  A parked pool shuts down after
+:data:`POOL_IDLE_RETIRE_S` of idleness, so a finished program neither
+keeps idle workers nor blocks its forkserver from stopping.  A parked
+pool keeps the forkserver up until its retirement has shut it down and
+released its queues' named semaphores, so stopping the forkserver and
+then the resource tracker never leaks them.  Leasing changes which
+processes run a chunk, never what a chunk computes, so results stay
+bit-identical.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import math
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -76,6 +97,11 @@ TIMEOUT_BACKOFF = 2.0
 #: inherit the heavy imports (numpy, the engine stack) instead of paying
 #: them per process.  Import failures are silently ignored by the server.
 _FORKSERVER_PRELOAD = ("repro.sim.executor", "repro.sim.engine")
+
+#: Seconds a parked pool waits for its next map before it shuts down.
+#: A constant rather than a plan option: it bounds how long a program
+#: that has finished its last map keeps idle worker processes alive.
+POOL_IDLE_RETIRE_S = 1.0
 
 
 def default_start_method() -> str:
@@ -181,7 +207,10 @@ class ExecutionPlan:
     ``workers=1`` (the default) runs serially in-process — no pool, no
     pickling, safe everywhere (Windows spawn semantics, frozen CI
     runners).  ``workers>1`` fans chunks out over a
-    ``ProcessPoolExecutor``; results are bit-identical either way.
+    ``ProcessPoolExecutor``, leased warm from the previous map with the
+    same worker count, start method and observability configuration
+    when one is parked (see the module docstring); results are
+    bit-identical either way.
 
     ``chunk_size`` balances scheduling granularity against dispatch
     overhead; ``None`` picks ``ceil(n / (4 * workers))`` so each worker
@@ -457,6 +486,16 @@ class _ExecutionObserver:
             obs.inc("executor.timeouts")
         obs.instant("executor.chunk.retry", chunk=number, kind=kind, attempt=attempt)
 
+    def pool_started(self) -> None:
+        """A new pool was made (a first start or a rebuild)."""
+        if _obs_runtime._enabled:
+            obs.inc("executor.pool.starts")
+
+    def pool_reused(self) -> None:
+        """A map leased a parked pool instead of starting one."""
+        if _obs_runtime._enabled:
+            obs.inc("executor.pool.reuses")
+
     def pool_rebuilt(self, *, broken: bool) -> None:
         self.pool_rebuilds += 1
         if not _obs_runtime._enabled:
@@ -477,11 +516,15 @@ def _describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
 
-def _resolve_context(plan: ExecutionPlan):
-    """The multiprocessing context for this plan (plan > env > default)."""
+def _start_method(plan: ExecutionPlan) -> str:
+    """The start method for this plan (plan > env > default)."""
+    return plan.start_method or os.environ.get(START_METHOD_ENV) or default_start_method()
+
+
+def _resolve_context(method: str):
+    """The multiprocessing context for ``method``."""
     import multiprocessing
 
-    method = plan.start_method or os.environ.get(START_METHOD_ENV) or default_start_method()
     context = multiprocessing.get_context(method)
     if method == "forkserver":
         try:
@@ -493,11 +536,153 @@ def _resolve_context(plan: ExecutionPlan):
     return context
 
 
+def _kill(pool) -> None:
+    """Tear a pool down hard — stuck or dead workers included."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except Exception:
+            pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+
+
+def _usable(pool) -> bool:
+    """Whether a parked pool can take work: not broken, every worker alive."""
+    if getattr(pool, "_broken", False) or getattr(pool, "_shutdown_thread", False):
+        return False
+    return all(
+        process.is_alive()
+        for process in (getattr(pool, "_processes", None) or {}).values()
+    )
+
+
+class _IdlePool:
+    """A parked pool with its retirement timer.
+
+    ``hold_fd`` is a duplicate of the forkserver's "alive" descriptor
+    (``None`` under other start methods).  The forkserver exits only
+    once every copy is closed, and the workers' copies close as they
+    exit, before the parent has freed the pool's queues.  Holding one
+    more copy until retirement is complete means a caller that stops
+    the forkserver and then the resource tracker never stops the
+    tracker while the pool's semaphores are still registered.
+    """
+
+    __slots__ = ("pool", "timer", "token", "hold_fd")
+
+    def __init__(self, pool, timer, token: int, hold_fd: "int | None") -> None:
+        self.pool = pool
+        self.timer = timer
+        self.token = token
+        self.hold_fd = hold_fd
+
+
+_idle_lock = threading.Lock()
+_idle_pools: "dict[tuple, _IdlePool]" = {}
+_park_tokens = itertools.count()
+
+
+def _pool_key(workers: int, method: str, worker_config) -> tuple:
+    """The idle-slot key: pools are interchangeable only within one key.
+
+    The owning process id comes first, so a ``fork``-started child that
+    inherited this module's slots never leases its parent's pools.
+    """
+    config = None if worker_config is None else tuple(sorted(worker_config.items()))
+    return (os.getpid(), workers, method, config)
+
+
+def _hold_forkserver() -> "int | None":
+    from multiprocessing import forkserver
+
+    alive_fd = getattr(forkserver._forkserver, "_forkserver_alive_fd", None)
+    if alive_fd is None:
+        return None
+    try:
+        return os.dup(alive_fd)
+    except OSError:
+        return None
+
+
+def _release(hold_fd: "int | None") -> None:
+    if hold_fd is not None:
+        os.close(hold_fd)
+
+
+def _lease_pool(key: tuple):
+    """Take the parked pool for ``key`` out of its slot, or ``None``."""
+    with _idle_lock:
+        parked = _idle_pools.pop(key, None)
+    if parked is None:
+        return None
+    parked.timer.cancel()
+    _release(parked.hold_fd)
+    if _usable(parked.pool):
+        return parked.pool
+    _kill(parked.pool)
+    return None
+
+
+def _park_pool(key: tuple, pool) -> bool:
+    """Park an idle pool for the next map with ``key``.
+
+    Returns ``False`` (the caller then kills the pool) when the slot is
+    already taken by a concurrent map's pool.
+    """
+    with _idle_lock:
+        if key in _idle_pools:
+            return False
+        token = next(_park_tokens)
+        # The timer carries (key, token), never the pool: the slot is the
+        # pool's only owner, and a lease that empties it leaves the timer
+        # nothing to retire.
+        timer = threading.Timer(POOL_IDLE_RETIRE_S, _retire_pool, (key, token))
+        timer.daemon = True
+        _pid, _workers, method, _config = key
+        hold_fd = _hold_forkserver() if method == "forkserver" else None
+        _idle_pools[key] = _IdlePool(pool, timer, token, hold_fd)
+        timer.start()
+    return True
+
+
+def _retire_pool(key: tuple, token: int) -> None:
+    """Shut down the parked pool ``token`` if no map has leased it since."""
+    with _idle_lock:
+        parked = _idle_pools.get(key)
+        if parked is None or parked.token != token:
+            return
+        del _idle_pools[key]
+    # A graceful shutdown joins the pool's manager thread and frees its
+    # queues, which unregisters their named semaphores; only then may the
+    # forkserver (and a resource tracker stopped after it) go.
+    try:
+        parked.pool.shutdown(wait=True)
+    finally:
+        _release(parked.hold_fd)
+
+
+@atexit.register
+def _retire_all() -> None:
+    """Retire every parked pool while the interpreter is still whole.
+
+    A pool still parked at exit would otherwise be freed during module
+    teardown, when ``concurrent.futures`` can no longer run its callbacks.
+    """
+    with _idle_lock:
+        parked = [(key, idle.token) for key, idle in _idle_pools.items()]
+    for key, token in parked:
+        _retire_pool(key, token)
+
+
 class _PoolRunner:
-    """One fault-tolerant trial map over a process pool.
+    """One fault-tolerant trial map over a leased process pool.
 
     Owns the retry/rebuild/timeout state machine described in the module
-    docstring.  ``run()`` returns ``(per-trial results, timings)`` or
+    docstring, and the pool it leased or started until ``run()`` parks
+    or kills it.  ``run()`` returns ``(per-trial results, timings)`` or
     raises :class:`ExecutorError`; completed chunks are never recomputed
     across retries, rebuilds, or the serial degradation pass.
     """
@@ -520,32 +705,35 @@ class _PoolRunner:
         self.pool = None
         self.pending: "dict[Any, int]" = {}  # future -> chunk number
         self.deadlines: "dict[Any, float]" = {}  # future -> monotonic deadline
+        self.method = _start_method(plan)
+        self.worker_config = obs.worker_config()
+        self.key = _pool_key(workers, self.method, self.worker_config)
 
     # -- pool lifecycle ------------------------------------------------------
 
     def _make_pool(self):
         from concurrent.futures import ProcessPoolExecutor
 
+        self.observer.pool_started()
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=_resolve_context(self.plan),
+            mp_context=_resolve_context(self.method),
             initializer=_obs_worker_init,
-            initargs=(obs.worker_config(),),
+            initargs=(self.worker_config,),
         )
+
+    def _acquire_pool(self) -> None:
+        self.pool = _lease_pool(self.key)
+        if self.pool is None:
+            self.pool = self._make_pool()
+        else:
+            self.observer.pool_reused()
 
     def _kill_pool(self) -> None:
         """Tear the pool down hard — stuck or dead workers included."""
         if self.pool is None:
             return
-        for process in list((getattr(self.pool, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        try:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
+        _kill(self.pool)
         self.pool = None
 
     # -- bookkeeping ---------------------------------------------------------
@@ -712,7 +900,8 @@ class _PoolRunner:
         return failures
 
     def run(self) -> "tuple[list, list[ChunkTiming]]":
-        self.pool = self._make_pool()
+        self._acquire_pool()
+        clean = False
         try:
             for number in range(len(self.chunks)):
                 self._submit(number)
@@ -721,8 +910,15 @@ class _PoolRunner:
                 if self.exhausted and self.plan.on_failure == "raise":
                     failures = [self.exhausted[k] for k in sorted(self.exhausted)]
                     raise ExecutorError(failures)
+            clean = not self.exhausted
         finally:
-            self._kill_pool()
+            # Only a pool that ends with nothing pending and nothing
+            # exhausted is parked; a killed-and-rebuilt pool's successor
+            # is clean, its stuck predecessor is long gone.
+            if clean and _park_pool(self.key, self.pool):
+                self.pool = None
+            else:
+                self._kill_pool()
         if len(self.completed) < len(self.chunks):
             # Only reachable with on_failure="serial": exhausted chunks
             # (and anything stranded by a dead pool) get one in-parent

@@ -20,7 +20,7 @@ Pipeline over the raw ADC stream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

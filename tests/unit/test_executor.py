@@ -8,10 +8,22 @@ size.  Any future engine refactor that breaks chunk-independent seeding
 or order-restoring reassembly fails here first.
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro import obs
 from repro.radar.config import XBAND_9GHZ
+from repro.sim import executor
 from repro.sim.engine import (
     DownlinkTrialConfig,
     run_downlink_trials,
@@ -41,6 +53,12 @@ PLANS = [
 def _echo_chunk(payload, spec, indices):
     """Module-level chunk fn: one uniform draw per trial (picklable)."""
     return [float(spec.stream(index).uniform()) for index in indices]
+
+
+def _pid_chunk(payload, spec, indices):
+    """``(worker pid, uniform draw)`` per trial after ``payload`` s of sleep."""
+    time.sleep(payload)
+    return [(os.getpid(), float(spec.stream(index).uniform())) for index in indices]
 
 
 class TestMapTrials:
@@ -293,3 +311,181 @@ class TestSeedSpec:
     def test_rejects_negative_child(self):
         with pytest.raises(ValueError):
             SeedSpec.from_rng(0).child(-1)
+
+
+def _parked(workers=2):
+    """``(pool, worker pids)`` parked for a default plan, or ``None``."""
+    key = executor._pool_key(
+        workers, executor._start_method(ExecutionPlan()), obs.worker_config()
+    )
+    with executor._idle_lock:
+        parked = executor._idle_pools.get(key)
+        return None if parked is None else (parked.pool, set(parked.pool._processes))
+
+
+def _wait_retired():
+    """Wait out the idle retirement of the default plan's parked pool."""
+    deadline = time.monotonic() + executor.POOL_IDLE_RETIRE_S + 10.0
+    while _parked() is not None and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _parked() is None
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _gone(pid, timeout_s=10.0):
+    """Wait for ``pid`` to exit and be reaped; whether it did in time."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+EXIT_PROBE = """
+import os
+import time
+from multiprocessing import forkserver, resource_tracker
+
+from repro.sim.executor import ExecutionPlan, map_trials
+
+
+def pid_chunk(payload, spec, indices):
+    return [os.getpid() for _ in indices]
+
+
+if __name__ == "__main__":
+    plan = ExecutionPlan(workers=2, chunk_size=1, start_method="forkserver")
+    _, report = map_trials(pid_chunk, None, 4, rng=0, plan=plan)
+    assert report.backend == "process", report.backend
+    started = time.perf_counter()
+    for helper in (forkserver._forkserver, resource_tracker._resource_tracker):
+        stop = getattr(helper, "_stop", None)
+        if stop is not None:
+            stop()
+    print(time.perf_counter() - started)
+"""
+
+
+class TestPoolLease:
+    def test_back_to_back_maps_share_workers(self):
+        plan = ExecutionPlan(workers=2, chunk_size=1)
+        first, _ = map_trials(_pid_chunk, 0.02, 8, rng=4, plan=plan)
+        pool, workers = _parked()
+        assert {pid for pid, _ in first} <= workers
+        second, _ = map_trials(_pid_chunk, 0.02, 8, rng=4, plan=plan)
+        again, _ = _parked()
+        assert again is pool
+        assert {pid for pid, _ in second} <= workers
+        assert [value for _, value in second] == [value for _, value in first]
+
+    def test_concurrent_maps_never_share_a_pool(self):
+        plan = ExecutionPlan(workers=2, chunk_size=1)
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=6)
+        barrier = threading.Barrier(2)
+        outcomes = [None, None]
+
+        def run(slot):
+            barrier.wait()
+            outcomes[slot], _ = map_trials(_pid_chunk, 0.1, 8, rng=6, plan=plan)
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        for outcome in outcomes:
+            assert [value for _, value in outcome] == serial
+        used = [{pid for pid, _ in outcome} for outcome in outcomes]
+        assert used[0].isdisjoint(used[1])
+        # One pool is parked for the key; the other map's pool was killed.
+        _, workers = _parked()
+        [kept] = [slot for slot in range(2) if used[slot] <= workers]
+        assert all(_gone(pid) for pid in used[1 - kept])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_threaded_maps_leak_no_workers(self):
+        """Four threads race leases and parks under a short switch
+        interval; every map stays bit-exact, and once the slot retires
+        every worker it saw has exited and every descriptor is closed,
+        so no parked pool (or its forkserver hold) was lost."""
+        plan = ExecutionPlan(workers=2, chunk_size=1)
+        serial, _ = map_trials(_echo_chunk, None, 6, rng=8)
+        map_trials(_pid_chunk, 0.0, 6, rng=8, plan=plan)
+        _wait_retired()
+        baseline = _open_fds()
+        seen, failures = set(), []
+
+        def run():
+            try:
+                for _ in range(3):
+                    outcome, _ = map_trials(_pid_chunk, 0.0, 6, rng=8, plan=plan)
+                    assert [value for _, value in outcome] == serial
+                    seen.update(pid for pid, _ in outcome)
+            except Exception as error:  # surfaced by the assertion below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        _wait_retired()
+        assert all(_gone(pid) for pid in seen)
+        deadline = time.monotonic() + 10.0
+        while _open_fds() > baseline and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _open_fds() <= baseline
+
+    def test_idle_pool_retires(self):
+        map_trials(_pid_chunk, 0.0, 4, rng=0, plan=ExecutionPlan(workers=2, chunk_size=1))
+        _, workers = _parked()
+        _wait_retired()
+        assert all(_gone(pid) for pid in workers)
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the forkserver start method",
+    )
+    def test_process_exits_cleanly_after_stopping_its_helpers(self, tmp_path):
+        """Stopping the forkserver and the resource tracker right after a
+        map waits only for idle retirement, and leaks nothing."""
+        script = tmp_path / "exit_probe.py"
+        script.write_text(EXIT_PROBE)
+        env = {
+            name: value for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        # Its own session, so a hung probe's forkserver and workers can be
+        # killed with it.
+        with subprocess.Popen(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        ) as probe:
+            try:
+                stdout, stderr = probe.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(probe.pid, signal.SIGKILL)
+                probe.communicate()
+                pytest.fail("the probe did not exit after stopping its helpers")
+        assert probe.returncode == 0, stderr
+        assert stderr == ""
+        stop_s = float(stdout.strip().splitlines()[-1])
+        assert stop_s < executor.POOL_IDLE_RETIRE_S + 5.0

@@ -14,11 +14,14 @@ the retry — possibly in a freshly spawned worker — observes it.
 """
 
 import os
+import signal
 import time
 
 import pytest
 
+from repro import obs
 from repro.errors import ChunkFailure, ExecutorError
+from repro.sim import executor
 from repro.sim.executor import ExecutionPlan, map_trials, strip_execution
 from repro.sim.sweep import sweep
 
@@ -78,6 +81,32 @@ def _slow_once_chunk(payload, spec, indices):
         _mark_flag(flag_path)
         time.sleep(60.0)
     return _values(spec, indices)
+
+
+def _stall_once_pid_chunk(payload, spec, indices):
+    """``(worker pid, draw)`` per trial; the first dispatch of the chosen
+    trial records its worker's pid, then stalls far past the deadline."""
+    flag_path, pid_path, slow_index = payload
+    if slow_index in indices and not os.path.exists(flag_path):
+        with open(pid_path, "w") as handle:
+            handle.write(str(os.getpid()))
+            handle.flush()
+            os.fsync(handle.fileno())
+        _mark_flag(flag_path)
+        time.sleep(60.0)
+    return [(os.getpid(), value) for value in _values(spec, indices)]
+
+
+def _gone(pid, timeout_s=10.0):
+    """Wait for ``pid`` to exit and be reaped; whether it did in time."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.02)
+    return False
 
 
 class _CrashOnceEvaluate:
@@ -172,6 +201,58 @@ class TestFaultRecovery:
         assert report.timeouts >= 1
         assert report.pool_rebuilds >= 1
         assert any(event["kind"] == "timeout" for event in report.fault_events)
+
+    def test_stalled_worker_exits_and_its_pool_is_never_parked(
+        self, tmp_path, monkeypatch
+    ):
+        parked, killed = [], []
+        park, kill = executor._park_pool, executor._kill
+
+        def recording_park(key, pool):
+            workers = set(pool._processes)
+            if not park(key, pool):
+                return False
+            parked.append(workers)
+            return True
+
+        def recording_kill(pool):
+            killed.append(set(pool._processes or {}))
+            kill(pool)
+
+        monkeypatch.setattr(executor, "_park_pool", recording_park)
+        monkeypatch.setattr(executor, "_kill", recording_kill)
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
+        payload = (str(tmp_path / "stall.flag"), str(tmp_path / "stall.pid"), 2)
+        plan = ExecutionPlan(workers=2, chunk_size=2, chunk_timeout_s=3.0)
+        values, report = map_trials(_stall_once_pid_chunk, payload, 8, rng=9, plan=plan)
+        assert [value for _, value in values] == serial
+        assert report.timeouts >= 1
+        stuck = int((tmp_path / "stall.pid").read_text())
+        assert _gone(stuck)
+        assert any(stuck in workers for workers in killed)
+        assert parked and all(stuck not in workers for workers in parked)
+        # The flag is set, so this map runs clean, on none of the killed
+        # pools' workers.
+        killed_workers = set().union(*killed)
+        again, _ = map_trials(_stall_once_pid_chunk, payload, 8, rng=9, plan=plan)
+        assert [value for _, value in again] == serial
+        assert {pid for pid, _ in again}.isdisjoint(killed_workers)
+
+    def test_parked_pool_with_a_dead_worker_is_not_leased(self):
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
+        plan = ExecutionPlan(workers=2, chunk_size=2)
+        map_trials(_echo_chunk, None, 8, rng=9, plan=plan)
+        key = executor._pool_key(
+            2, executor._start_method(plan), obs.worker_config()
+        )
+        with executor._idle_lock:
+            victim = next(iter(executor._idle_pools[key].pool._processes))
+        os.kill(victim, signal.SIGKILL)
+        assert _gone(victim)
+        values, report = map_trials(_echo_chunk, None, 8, rng=9, plan=plan)
+        assert values == serial
+        assert report.backend == "process"
+        assert report.pool_rebuilds == 0
 
     def test_fault_counters_in_report_metadata(self, tmp_path):
         flag = tmp_path / "meta.flag"

@@ -138,6 +138,35 @@ class TestMergedTelemetry:
         assert snap["counters"]["executor.trials.completed"] == 12
 
 
+class TestPoolLeaseTelemetry:
+    def test_pool_starts_and_reuses_counted(self, obs_run):
+        plan = ExecutionPlan(workers=2, chunk_size=2)
+        map_trials(_echo_chunk, None, 8, SeedSpec.from_rng(1), plan)
+        counters = obs.snapshot()["counters"]
+        assert counters["executor.pool.starts"] == 1
+        assert "executor.pool.reuses" not in counters
+        map_trials(_echo_chunk, None, 8, SeedSpec.from_rng(2), plan)
+        counters = obs.snapshot()["counters"]
+        assert counters["executor.pool.starts"] == 1
+        assert counters["executor.pool.reuses"] == 1
+
+    def test_pool_counters_silent_while_disabled(self):
+        obs.reset()
+        plan = ExecutionPlan(workers=2, chunk_size=2)
+        map_trials(_echo_chunk, None, 8, SeedSpec.from_rng(1), plan)
+        map_trials(_echo_chunk, None, 8, SeedSpec.from_rng(2), plan)
+        assert obs.snapshot()["counters"] == {}
+
+    def test_cli_profile_shows_pool_start(self):
+        import io
+
+        from repro.cli import main
+
+        out = io.StringIO()
+        assert main(["ber", "--frames", "8", "--workers", "2", "--profile"], out=out) == 0
+        assert "executor.pool.starts" in out.getvalue()
+
+
 class TestStoreTelemetry:
     def test_sweep_cache_traffic_in_log(self, obs_run, tmp_path):
         from repro.store import ExperimentStore
