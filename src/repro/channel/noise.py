@@ -98,6 +98,11 @@ def awgn_for_snr(
     return x + noise
 
 
+def phase_noise_increment_std(sample_rate_hz: float, linewidth_hz: float) -> float:
+    """Std of one sample's phase step in a Wiener process of that linewidth."""
+    return np.sqrt(2.0 * np.pi * linewidth_hz / sample_rate_hz)
+
+
 def phase_noise_samples(
     num_samples: int,
     sample_rate_hz: float,
@@ -118,7 +123,7 @@ def phase_noise_samples(
     if linewidth_hz == 0:
         return np.ones(num_samples, dtype=complex)
     generator = resolve_rng(rng)
-    increment_std = np.sqrt(2.0 * np.pi * linewidth_hz / sample_rate_hz)
+    increment_std = phase_noise_increment_std(sample_rate_hz, linewidth_hz)
     increments = generator.normal(0.0, increment_std, num_samples)
     phase = np.cumsum(increments)
     return np.exp(1j * phase)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.channel.noise import phase_noise_samples
+from repro.channel.noise import phase_noise_increment_std
 from repro.channel.propagation import radar_received_power_dbm
 from repro.constants import SPEED_OF_LIGHT
 from repro.errors import SimulationError
@@ -121,6 +121,97 @@ class IFFrame:
         return np.array([slot.start_time_s for slot in self.frame.slots])
 
 
+class _ChirpScatterGeometry:
+    """Per-(chirp, scatterer) receive geometry of one frame, as arrays.
+
+    Each value is the float expression the per-chirp receive evaluated,
+    elementwise: ranges at slot start, round-trip delays, beat
+    frequencies, slow-time and radar-equation amplitudes.  A pair is
+    *active* when its slow-time amplitude is nonzero and its beat is
+    within the IF Nyquist band; only active pairs draw gain jitter or
+    contribute a tone.  Errors are raised for the first offending chirp,
+    in the per-chirp order.
+    """
+
+    def __init__(self, radar: "FMCWRadar", frame: FrameSchedule, scatterers) -> None:
+        fs = radar.config.if_sample_rate_hz
+        slots = frame.slots
+        num_chirps, num_scatterers = len(slots), len(scatterers)
+        self.lengths = np.array(
+            [int(round(slot.chirp.duration_s * fs)) for slot in slots], dtype=int
+        )
+        starts = np.array([slot.start_time_s for slot in slots], dtype=float)
+        slopes = np.array([slot.chirp.slope_hz_per_s for slot in slots], dtype=float)
+        self.start_frequencies = np.array(
+            [slot.chirp.start_frequency_hz for slot in slots], dtype=float
+        )
+        slow = np.ones((num_chirps, num_scatterers))
+        scheduled = np.ones((num_chirps, num_scatterers), dtype=bool)
+        for index, scatterer in enumerate(scatterers):
+            schedule = scatterer.amplitude_schedule
+            if schedule is not None:
+                covered = min(schedule.size, num_chirps)
+                slow[:covered, index] = schedule[:covered]
+                scheduled[covered:, index] = False
+        range_m = np.array([s.range_m for s in scatterers], dtype=float)
+        velocity = np.array([s.velocity_m_s for s in scatterers], dtype=float)
+        self.ranges = range_m + velocity * starts[:, None]
+        lit = scheduled & (slow != 0.0)
+        crossed = lit & (self.ranges <= 0)
+        bad_chirps = (self.lengths < 2) | ~scheduled.all(axis=1) | crossed.any(axis=1)
+        if bad_chirps.any():
+            self._raise_first_error(
+                int(np.argmax(bad_chirps)), frame, scatterers, fs, scheduled, crossed
+            )
+        self.taus = 2.0 * self.ranges / SPEED_OF_LIGHT
+        self.beats = slopes[:, None] * self.taus
+        self.active = lit & ~(self.beats > fs / 2.0)
+        self.draws_jitter = self.active & (
+            np.array([s.gain_jitter_std for s in scatterers], dtype=float) > 0
+        )
+        # One radar-equation evaluation per distinct (scatterer, range).
+        self.amplitudes = np.zeros((num_chirps, num_scatterers))
+        for index, scatterer in enumerate(scatterers):
+            rows = np.flatnonzero(self.active[:, index])
+            distinct, inverse = np.unique(self.ranges[rows, index], return_inverse=True)
+            table = np.array(
+                [radar.received_amplitude(scatterer, float(r)) for r in distinct]
+            )
+            if rows.size:
+                self.amplitudes[rows, index] = table[inverse] * slow[rows, index]
+
+    @staticmethod
+    def _raise_first_error(chirp_index, frame, scatterers, fs, scheduled, crossed):
+        duration_s = frame.slots[chirp_index].chirp.duration_s
+        num_samples = int(round(duration_s * fs))
+        if num_samples < 2:
+            raise SimulationError(
+                f"chirp {chirp_index} of {duration_s}s yields {num_samples} IF "
+                f"samples at {fs}Hz"
+            )
+        for index, scatterer in enumerate(scatterers):
+            if not scheduled[chirp_index, index]:
+                scatterer.amplitude_at_chirp(chirp_index)
+            if crossed[chirp_index, index]:
+                range_now = scatterer.range_at_time(frame.slots[chirp_index].start_time_s)
+                raise SimulationError(
+                    f"scatterer crossed the radar (range {range_now} m) at chirp {chirp_index}"
+                )
+
+    def tones(self, chirps: np.ndarray, scatterer_index: int, t_fast: np.ndarray) -> np.ndarray:
+        """Beat tones ``exp(1j*phase)`` of one scatterer on ``chirps``.
+
+        One row per chirp, or a single broadcast row when every chirp has
+        the same beat and carrier delay phase (a static scatterer on
+        chirps of one slope), which is the same tone.
+        """
+        beats = self.beats[chirps, scatterer_index]
+        carrier = self.start_frequencies[chirps] * self.taus[chirps, scatterer_index]
+        if (beats == beats[0]).all() and (carrier == carrier[0]).all():
+            beats, carrier = beats[:1], carrier[:1]
+        return np.exp(1j * (2.0 * np.pi * (beats[:, None] * t_fast + carrier[:, None])))
+
+
 class FMCWRadar:
     """An FMCW radar transceiver simulated at IF.
 
@@ -196,90 +287,83 @@ class FMCWRadar:
         fs = self.config.if_sample_rate_hz
         noise_power = self.noise_power_w() if add_noise else 0.0
         num_rx = len(rx_offsets_wavelengths)
-        per_rx_samples: "list[list[np.ndarray]]" = [[] for _ in range(num_rx)]
-        steering = [
-            np.array(
+        steering = np.array(
+            [
                 [
-                    np.exp(
-                        2j
-                        * np.pi
-                        * offset
-                        * np.sin(np.radians(scatterer.angle_deg))
-                    )
+                    np.exp(2j * np.pi * offset * np.sin(np.radians(scatterer.angle_deg)))
                     for scatterer in scatterers
                 ]
-            )
-            for offset in rx_offsets_wavelengths
-        ]
-        # Chirp-geometry invariants, computed once per call: radar-equation
-        # amplitudes per (scatterer, range) and beat tones per (beat, f0,
-        # tau, length).  A static scatterer's tone repeats on every chirp
-        # of the same shape.  Random draws keep their per-chirp order, and
-        # each chirp's samples are still a fresh array: tones are only read.
-        amplitudes: "dict[tuple[int, float], float]" = {}
-        tones: "dict[tuple[float, float, float, int], np.ndarray]" = {}
-        for chirp_index, slot in enumerate(frame.slots):
-            chirp = slot.chirp
-            num_samples = int(round(chirp.duration_s * fs))
-            if num_samples < 2:
-                raise SimulationError(
-                    f"chirp {chirp_index} of {chirp.duration_s}s yields {num_samples} IF "
-                    f"samples at {fs}Hz"
-                )
-            t_fast = np.arange(num_samples) / fs
-            contributions: "list[tuple[int, np.ndarray]]" = []
-            for scatterer_index, scatterer in enumerate(scatterers):
-                slow_amplitude = scatterer.amplitude_at_chirp(chirp_index)
-                if slow_amplitude == 0.0:
+                for offset in rx_offsets_wavelengths
+            ],
+            dtype=complex,
+        )
+        geometry = _ChirpScatterGeometry(self, frame, scatterers)
+        lengths = geometry.lengths
+        num_chirps = lengths.size
+
+        # Every standard normal the frame needs comes from one draw, laid
+        # out in the per-chirp order: each drawing scatterer's jitter pair
+        # (real, imag), the phase-noise increments, then each RX element's
+        # real and imaginary thermal noise.
+        jitter_rank = np.cumsum(geometry.draws_jitter, axis=1) - 1
+        jitter_counts = geometry.draws_jitter.sum(axis=1)
+        linewidth = self.config.phase_noise_linewidth_hz
+        phase_counts = lengths * (linewidth > 0)
+        noisy = add_noise and noise_power > 0
+        counts = 2 * jitter_counts + phase_counts + 2 * num_rx * lengths * noisy
+        starts = np.cumsum(counts) - counts
+        normals = generator.standard_normal(int(counts.sum()))
+
+        gains = np.full(geometry.amplitudes.shape, 1.0 + 0j)
+        chirp_of, scatterer_of = np.nonzero(geometry.draws_jitter)
+        jitter_at = starts[chirp_of] + 2 * jitter_rank[chirp_of, scatterer_of]
+        jitter_scale = np.array([s.gain_jitter_std for s in scatterers]) / np.sqrt(2.0)
+        gains[chirp_of, scatterer_of] += jitter_scale[scatterer_of] * (
+            normals[jitter_at] + 1j * normals[jitter_at + 1]
+        )
+        coefficients = np.where(geometry.active, geometry.amplitudes * gains, 0.0)
+        phase_starts = starts + 2 * jitter_counts
+
+        per_rx_samples: "list[list[np.ndarray]]" = [[None] * num_chirps for _ in range(num_rx)]
+        for length in np.unique(lengths):
+            # One block per RX for the chirps of this length; rows are the
+            # per-chirp sample arrays, each built with the per-chirp
+            # arithmetic in the per-chirp order.
+            chirps = np.flatnonzero(lengths == length)
+            offsets = np.arange(length)
+            t_fast = offsets / fs
+            blocks = np.zeros((num_rx, chirps.size, length), dtype=complex)
+            term = np.empty((chirps.size, length), dtype=complex)
+            for scatterer_index in range(len(scatterers)):
+                if not geometry.active[chirps, scatterer_index].any():
                     continue
-                range_now = scatterer.range_at_time(slot.start_time_s)
-                if range_now <= 0:
-                    raise SimulationError(
-                        f"scatterer crossed the radar (range {range_now} m) at chirp {chirp_index}"
-                    )
-                tau = 2.0 * range_now / SPEED_OF_LIGHT
-                beat_hz = chirp.slope_hz_per_s * tau
-                if beat_hz > fs / 2.0:
-                    # Beyond the receiver's unambiguous IF band: the
-                    # anti-aliasing filter removes it.
-                    continue
-                amplitude_key = (scatterer_index, range_now)
-                if amplitude_key not in amplitudes:
-                    amplitudes[amplitude_key] = self.received_amplitude(scatterer, range_now)
-                amplitude = amplitudes[amplitude_key] * slow_amplitude
-                gain = 1.0 + 0j
-                if scatterer.gain_jitter_std > 0:
-                    scale = scatterer.gain_jitter_std / np.sqrt(2.0)
-                    gain += scale * (
-                        generator.standard_normal() + 1j * generator.standard_normal()
-                    )
-                tone_key = (beat_hz, chirp.start_frequency_hz, tau, num_samples)
-                if tone_key not in tones:
-                    phase = 2.0 * np.pi * (beat_hz * t_fast + chirp.start_frequency_hz * tau)
-                    tones[tone_key] = np.exp(1j * phase)
-                contributions.append((scatterer_index, amplitude * gain * tones[tone_key]))
-            if self.config.phase_noise_linewidth_hz > 0:
-                lo_noise = phase_noise_samples(
-                    num_samples,
-                    fs,
-                    linewidth_hz=self.config.phase_noise_linewidth_hz,
-                    rng=generator,
+                coefficient = coefficients[chirps, scatterer_index][:, None]
+                tones = geometry.tones(chirps, scatterer_index, t_fast)
+                for rx_index in range(num_rx):
+                    np.multiply(coefficient, tones, out=term)
+                    np.multiply(steering[rx_index, scatterer_index], term, out=term)
+                    blocks[rx_index] += term
+            if linewidth > 0:
+                increments = 0.0 + phase_noise_increment_std(fs, linewidth) * (
+                    normals[phase_starts[chirps, None] + offsets]
                 )
-            else:
-                lo_noise = None
+                blocks *= np.exp(1j * np.cumsum(increments, axis=1))
             for rx_index in range(num_rx):
-                samples = np.zeros(num_samples, dtype=complex)
-                for scatterer_index, tone in contributions:
-                    samples += steering[rx_index][scatterer_index] * tone
-                if lo_noise is not None:
-                    samples = samples * lo_noise
-                if add_noise and noise_power > 0:
-                    scale = np.sqrt(noise_power / 2.0)
-                    samples = samples + scale * (
-                        generator.standard_normal(num_samples)
-                        + 1j * generator.standard_normal(num_samples)
+                samples = blocks[rx_index]
+                if noisy:
+                    real_at = (
+                        phase_starts[chirps, None]
+                        + phase_counts[chirps, None]
+                        + 2 * rx_index * length
+                        + offsets
                     )
-                per_rx_samples[rx_index].append(samples)
+                    # samples + scale * (real + 1j * imag), one step at a time.
+                    np.multiply(1j, normals[real_at + length], out=term)
+                    np.add(normals[real_at], term, out=term)
+                    np.multiply(np.sqrt(noise_power / 2.0), term, out=term)
+                    samples += term
+                for row, chirp_index in enumerate(chirps):
+                    per_rx_samples[rx_index][chirp_index] = samples[row]
         return [
             IFFrame(frame=frame, sample_rate_hz=fs, chirp_samples=chirp_list)
             for chirp_list in per_rx_samples

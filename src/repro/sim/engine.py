@@ -513,6 +513,21 @@ def run_downlink_trials(
     return point
 
 
+def _sensing_scatterers(van_atta, frequency, tag_range_m, schedule, clutter):
+    """The modulating tag (beacon ``schedule``) followed by the clutter."""
+    env = clutter or Clutter()
+    return [
+        Scatterer(
+            range_m=tag_range_m,
+            rcs_m2=van_atta.rcs_m2(frequency),
+            amplitude_schedule=schedule,
+        )
+    ] + [
+        Scatterer(range_m=r.range_m, rcs_m2=r.rcs_m2, angle_deg=r.angle_deg)
+        for r in env.reflectors
+    ]
+
+
 def _uplink_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     """One chunk of uplink SNR trials -> signature SNR (dB) per trial."""
     (radar_config, modulator, van_atta, tag_range_m, num_chirps,
@@ -528,22 +543,12 @@ def _uplink_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     frequency = radar_config.center_frequency_hz
     on_rcs, off_rcs = van_atta.modulated_rcs_amplitudes(frequency)
     schedule = np.where(states, 1.0, float(np.sqrt(off_rcs / on_rcs)))
-    env = clutter or Clutter()
     radar = FMCWRadar(radar_config)
     decoder = UplinkDecoder(modulator)
+    scatterers = _sensing_scatterers(van_atta, frequency, tag_range_m, schedule, clutter)
     snrs = []
     for index in indices:
         stream = spec.stream(index)
-        scatterers = [
-            Scatterer(
-                range_m=tag_range_m,
-                rcs_m2=van_atta.rcs_m2(frequency),
-                amplitude_schedule=schedule,
-            )
-        ] + [
-            Scatterer(range_m=r.range_m, rcs_m2=r.rcs_m2, angle_deg=r.angle_deg)
-            for r in env.reflectors
-        ]
         if_frame = radar.receive_frame(frame, scatterers, rng=stream)
         snrs.append(decoder.measure_snr_db(if_frame))
     if _obs_runtime._enabled:
@@ -624,21 +629,13 @@ def _localization_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     from repro.waveform.frame import FrameSchedule
     from repro.waveform.parameters import ChirpParameters
 
-    env = clutter or Clutter()
     radar = FMCWRadar(radar_config)
     localizer = TagLocalizer(modulator.modulation_rate_hz)
     frequency = radar_config.center_frequency_hz
     on_rcs, off_rcs = van_atta.modulated_rcs_amplitudes(frequency)
     off_factor = float(np.sqrt(off_rcs / on_rcs))
 
-    errors = []
-    for index in indices:
-        stream = spec.stream(index)
-        if varying_slopes:
-            symbols = stream.integers(0, alphabet.num_data_symbols, num_chirps)
-            durations = [alphabet.data_symbol_duration_s(int(s)) for s in symbols]
-        else:
-            durations = [alphabet.header_duration_s] * num_chirps
+    def frame_and_scatterers(durations):
         chirps = [
             ChirpParameters(
                 start_frequency_hz=radar_config.start_frequency_hz,
@@ -649,18 +646,21 @@ def _localization_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
         ]
         frame = FrameSchedule.from_chirps(chirps, alphabet.chirp_period_s)
         times = np.array([slot.start_time_s for slot in frame.slots])
-        states = modulator.beacon_states(times)
-        schedule = np.where(states, 1.0, off_factor)
-        scatterers = [
-            Scatterer(
-                range_m=tag_range_m,
-                rcs_m2=van_atta.rcs_m2(frequency),
-                amplitude_schedule=schedule,
+        schedule = np.where(modulator.beacon_states(times), 1.0, off_factor)
+        return frame, _sensing_scatterers(
+            van_atta, frequency, tag_range_m, schedule, clutter
+        )
+
+    if not varying_slopes:
+        frame, scatterers = frame_and_scatterers([alphabet.header_duration_s] * num_chirps)
+    errors = []
+    for index in indices:
+        stream = spec.stream(index)
+        if varying_slopes:
+            symbols = stream.integers(0, alphabet.num_data_symbols, num_chirps)
+            frame, scatterers = frame_and_scatterers(
+                [alphabet.data_symbol_duration_s(int(s)) for s in symbols]
             )
-        ] + [
-            Scatterer(range_m=r.range_m, rcs_m2=r.rcs_m2, angle_deg=r.angle_deg)
-            for r in env.reflectors
-        ]
         if_frame = radar.receive_frame(frame, scatterers, rng=stream)
         result = localizer.localize(if_frame)
         errors.append(abs(result.range_m - tag_range_m))
