@@ -103,7 +103,9 @@ class TagLocalizer:
         around the coarse range per chirp, and averages the per-chirp
         estimates weighted by their residual energy.
         """
-        detection, correction = self.coarse_detect(if_frame, correction=correction)
+        # Refinement needs only the detection: dropping the correction here
+        # frees the frame's aligned grid and profiles before the zoom runs.
+        detection = self.coarse_detect(if_frame, correction=correction)[0]
         if not refine:
             return LocalizationResult(
                 range_m=detection.range_m,

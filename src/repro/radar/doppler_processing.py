@@ -53,7 +53,10 @@ def slow_time_spectrum(
         matrix = matrix - matrix.mean(axis=0, keepdims=True)
     win = _make_window(window, num_chirps)[:, None]
     size = next_pow2(num_chirps) if n_fft is None else int(n_fft)
-    spectrum = np.fft.fft(matrix * win, n=size, axis=0) / win.sum()
+    # Rebinding drops the mean-removed copy before the FFT allocates.
+    matrix = matrix * win
+    spectrum = np.fft.fft(matrix, n=size, axis=0)
+    spectrum /= win.sum()
     half = size // 2
     freqs = np.arange(half) / (size * chirp_period_s)
     return freqs, np.abs(spectrum[:half])

@@ -180,15 +180,17 @@ def align_profiles_to_common_grid(
     raw_profiles: "list[np.ndarray]" = [None] * if_frame.num_chirps
     for size, indices in by_length.items():
         stack = np.vstack([if_frame.chirp_samples[index] for index in indices])
-        profiles = range_fft(stack, n_fft=n_fft, window=window)
         # Re-reference the analysis window to its center: a window spanning
         # [0, N) imparts a linear phase ~ (N-1)/2 samples that DIFFERS per
         # chirp length, which would scramble slow-time phase coherence in
         # mixed-slope frames.  The DFT shift property undoes it exactly.
+        # Only the kept half is shifted, so the full spectra die here.
         center_shift = (size - 1) / 2.0
-        profiles *= np.exp(2j * np.pi * np.arange(n_fft) * center_shift / n_fft)
+        profiles = range_fft(stack, n_fft=n_fft, window=window)[:, :half] * np.exp(
+            2j * np.pi * np.arange(half) * center_shift / n_fft
+        )
         for index, profile in zip(indices, profiles):
-            raw_profiles[index] = profile[:half]
+            raw_profiles[index] = profile
     # Bin ranges depend only on the slope: one axis per distinct slope,
     # copied per chirp so no two chirps share an array.
     slope_ranges: "dict[float, np.ndarray]" = {}
