@@ -561,24 +561,17 @@ def _print_execution(timings, args, out) -> None:
 
 
 def _adaptive_from(args):
-    """The AdaptiveConfig from the --adaptive flags (None = fixed budget).
-
-    ``--max-frames`` defaults to ``--frames``, so ``--adaptive`` turns
-    the existing budget into a cap; ``--adaptive-batch`` defaults to
-    ``--min-frames`` (one round reaches the earliest legal stop).
-    """
+    """The AdaptiveConfig from the --adaptive flags (None = fixed budget)."""
     if not getattr(args, "adaptive", False):
         return None
     from repro.sim.adaptive import AdaptiveConfig
 
-    max_frames = args.max_frames if args.max_frames is not None else args.frames
-    batch = args.adaptive_batch if args.adaptive_batch is not None else args.min_frames
-    min_frames = min(args.min_frames, max_frames)
-    return AdaptiveConfig(
+    return AdaptiveConfig.for_budget(
+        args.frames,
         target_rel_width=args.ci_width,
-        min_frames=min_frames,
-        max_frames=max_frames,
-        batch_frames=batch,
+        min_frames=args.min_frames,
+        max_frames=args.max_frames,
+        batch_frames=args.adaptive_batch,
     )
 
 
@@ -617,26 +610,18 @@ def _print_store(store, out) -> None:
 
 
 def _run_ber(args, out) -> int:
-    from repro.core.cssk import CsskAlphabet, DecoderDesign
-    from repro.radar.config import XBAND_9GHZ
-    from repro.sim.engine import DownlinkTrialConfig, run_downlink_trials
+    from repro.sim.engine import ber_trial_config, run_downlink_trials
 
-    alphabet = CsskAlphabet.design(
-        bandwidth_hz=args.bandwidth_ghz * 1e9,
-        decoder=DecoderDesign.from_inches(args.delta_l_inches),
-        symbol_bits=args.symbol_bits,
-        chirp_period_s=120e-6,
-        min_chirp_duration_s=20e-6,
-    )
-    config = DownlinkTrialConfig(
-        radar_config=XBAND_9GHZ.with_bandwidth(args.bandwidth_ghz * 1e9),
-        alphabet=alphabet,
+    config = ber_trial_config(
         distance_m=args.distance,
-        snr_override_db=args.snr_db,
-        num_frames=args.frames,
-        payload_symbols_per_frame=16,
+        snr_db=args.snr_db,
+        symbol_bits=args.symbol_bits,
+        bandwidth_ghz=args.bandwidth_ghz,
+        delta_l_inches=args.delta_l_inches,
+        frames=args.frames,
+        payload_symbols=16,
         full_sync=args.full_sync,
-        impairments=_impair_spec(args),
+        impair=args.impair,
     )
     plan, timings = _execution_plan(args)
     store = _store_from(args)

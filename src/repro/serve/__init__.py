@@ -23,8 +23,8 @@ stalled workers under ``point_timeout_s``.
 :meth:`repro.serve.client.ServeClient.run_resilient` survives the client
 side: deterministic capped backoff (:class:`BackoffPolicy`) honoring
 ``retry_after_s``, reconnects, and partial-stream resume that requests
-only the missing point indices.  :mod:`repro.serve.chaosproxy` injects
-seed-deterministic network faults to prove all of it in CI.
+only the missing point indices.  The chaos suite's fault-injecting proxy
+(``tests/integration/chaosproxy.py``) proves all of it in CI.
 
 The determinism contract carries through unchanged: every point is
 computed by the same engine entry points the batch CLI calls, under the
@@ -37,7 +37,6 @@ serve-chaos job).
 """
 
 from repro.errors import ServeConnectionLost, ServeError
-from repro.serve.chaosproxy import ChaosConfig, ChaosProxy, ChaosProxyThread
 from repro.serve.client import BackoffPolicy, JobResult, ServeClient
 from repro.serve.journal import JobJournal, JournalRecord
 from repro.serve.protocol import (
@@ -74,7 +73,4 @@ __all__ = [
     "JobResult",
     "JobJournal",
     "JournalRecord",
-    "ChaosConfig",
-    "ChaosProxy",
-    "ChaosProxyThread",
 ]

@@ -105,18 +105,24 @@ class JobResult:
     #: ``points``/``meta`` hold ``None``); empty on a fully clean job.
     failed: "list[dict[str, Any]]" = field(default_factory=list)
 
-    def ber_points(self):
-        """The points as :class:`repro.sim.results.BerPoint` objects."""
-        from repro.sim.engine import _ber_point_from_payload
-
-        if self.kind not in ("ber", "ber_sweep"):
-            raise ServeError(f"job kind {self.kind!r} has no BER points")
+    def _payloads(self, kinds: "tuple[str, ...]") -> "list[dict[str, Any]]":
+        if self.kind not in kinds:
+            raise ServeError(f"job kind {self.kind!r} is not one of {kinds}")
         if self.failed:
             raise ServeError(
                 f"{len(self.failed)} point(s) failed server-side: "
                 f"indices {[item['index'] for item in self.failed]}"
             )
-        return [_ber_point_from_payload(payload) for payload in self.points]
+        return self.points
+
+    def ber_points(self):
+        """The points as :class:`repro.sim.results.BerPoint` objects."""
+        from repro.sim.engine import _ber_point_from_payload
+
+        return [
+            _ber_point_from_payload(payload)
+            for payload in self._payloads(("ber", "ber_sweep"))
+        ]
 
     def ber_point(self):
         """The single point of a ``ber`` job."""
@@ -129,28 +135,9 @@ class JobResult:
         """A ``robustness`` job as the batch sweep's DegradationCurve."""
         from repro.sim.robustness import DegradationCurve
 
-        if self.kind != "robustness":
-            raise ServeError(f"job kind {self.kind!r} is not a robustness job")
-        if self.failed:
-            raise ServeError(
-                f"{len(self.failed)} point(s) failed server-side: "
-                f"indices {[item['index'] for item in self.failed]}"
-            )
         curve = DegradationCurve()
-        for payload in self.points:
-            metrics = payload["metrics"]
-            curve.severities.append(float(payload["severity"]))
-            curve.downlink_ber.append(metrics["downlink_ber"])
-            curve.uplink_ber.append(metrics["uplink_ber"])
-            curve.erasure_rate.append(metrics["erasure_rate"])
-            curve.median_ranging_error_m.append(
-                metrics["median_ranging_error_m"]
-            )
-            curve.if_fallback_rate.append(metrics["if_fallback_rate"])
-            # Older servers predate the metric; NaN = not recorded.
-            curve.localization_rate.append(
-                metrics.get("localization_rate", float("nan"))
-            )
+        for payload in self._payloads(("robustness",)):
+            curve.add(payload["severity"], payload["metrics"])
         return curve
 
 

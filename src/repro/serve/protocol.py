@@ -120,14 +120,51 @@ def _typed(job: "dict", key: str, kind, default):
         ) from None
 
 
+class _PointSpec:
+    """Fingerprint and compute of a point spec, through the engine driver.
+
+    A subclass names its workload, point and wire result once, in
+    :meth:`_workload_point` and :meth:`_wire`; everything else is
+    :func:`repro.sim.engine.run_point`, the code path batch runs take.
+    """
+
+    def validated(self):
+        """This spec, once its point plans: bad knobs fail at submit time.
+
+        The builders and the driver's plan raise domain errors; this is
+        where serve turns them into a client-presentable rejection.
+        """
+        from repro.errors import ReproError
+        from repro.sim.engine import point_work_unit
+
+        try:
+            point_work_unit(*self._workload_point(), self.adaptive)
+        except (ReproError, TypeError, ValueError) as error:
+            raise ServeError(f"invalid {self.kind} point: {error}") from None
+        return self
+
+    def fingerprint(self) -> str:
+        from repro.sim.engine import point_work_unit
+        from repro.store.fingerprint import fingerprint
+
+        return fingerprint(*point_work_unit(*self._workload_point(), self.adaptive))
+
+    def compute(self, execution, store) -> "dict[str, Any]":
+        from repro.sim.engine import run_point
+
+        workload, point = self._workload_point()
+        return self._wire(run_point(
+            workload, point, adaptive=self.adaptive, execution=execution, store=store
+        ))
+
+
 @dataclass(frozen=True)
-class BerPointSpec:
+class BerPointSpec(_PointSpec):
     """One downlink BER operating point — the unit ``repro ber`` computes.
 
-    ``compute`` routes through :func:`repro.sim.engine.run_downlink_trials`
-    with a config built by the exact expressions the CLI uses, so the
-    fingerprint (and therefore the store entry and the result) is shared
-    with batch runs of the same knobs.
+    The config comes from :func:`repro.sim.engine.ber_trial_config`, the
+    builder the CLI uses, so the fingerprint (and therefore the store
+    entry and the result) is shared with batch runs of the same knobs.
     """
 
     distance_m: float = 3.0
@@ -145,60 +182,30 @@ class BerPointSpec:
     kind = "ber"
 
     def trial_config(self):
-        from repro.core.cssk import CsskAlphabet, DecoderDesign
-        from repro.errors import AlphabetError, ConfigurationError
-        from repro.impair import ImpairmentSpec
-        from repro.radar.config import XBAND_9GHZ
-        from repro.sim.engine import DownlinkTrialConfig
+        from repro.sim.engine import ber_trial_config
 
-        try:
-            alphabet = CsskAlphabet.design(
-                bandwidth_hz=self.bandwidth_ghz * 1e9,
-                decoder=DecoderDesign.from_inches(self.delta_l_inches),
-                symbol_bits=self.symbol_bits,
-                chirp_period_s=120e-6,
-                min_chirp_duration_s=20e-6,
-            )
-            impairments = (
-                ImpairmentSpec.parse(self.impair) if self.impair else None
-            )
-            return DownlinkTrialConfig(
-                radar_config=XBAND_9GHZ.with_bandwidth(self.bandwidth_ghz * 1e9),
-                alphabet=alphabet,
-                distance_m=self.distance_m,
-                snr_override_db=self.snr_db,
-                num_frames=self.frames,
-                payload_symbols_per_frame=self.payload_symbols,
-                full_sync=self.full_sync,
-                impairments=impairments,
-            )
-        except (AlphabetError, ConfigurationError, TypeError, ValueError) as error:
-            raise ServeError(f"invalid ber point: {error}") from None
-
-    def fingerprint(self) -> str:
-        from repro.sim.engine import downlink_trials_work_unit
-        from repro.store.fingerprint import fingerprint
-
-        kind, work_unit = downlink_trials_work_unit(
-            self.trial_config(), SeedSpec.from_rng(self.seed), self.adaptive
+        return ber_trial_config(
+            distance_m=self.distance_m,
+            snr_db=self.snr_db,
+            symbol_bits=self.symbol_bits,
+            bandwidth_ghz=self.bandwidth_ghz,
+            delta_l_inches=self.delta_l_inches,
+            frames=self.frames,
+            payload_symbols=self.payload_symbols,
+            full_sync=self.full_sync,
+            impair=self.impair,
         )
-        return fingerprint(kind, work_unit)
 
-    def compute(self, execution, store) -> "dict[str, Any]":
-        from repro.sim.engine import _ber_point_payload, run_downlink_trials
+    def _workload_point(self):
+        from repro.sim.engine import DOWNLINK
 
-        point = run_downlink_trials(
-            self.trial_config(),
-            rng=self.seed,
-            execution=execution,
-            store=store,
-            adaptive=self.adaptive,
-        )
-        return _ber_point_payload(point)
+        return DOWNLINK, (self.trial_config(), SeedSpec.from_rng(self.seed))
+
+    _wire = staticmethod(dataclasses.asdict)
 
 
 @dataclass(frozen=True)
-class RobustnessPointSpec:
+class RobustnessPointSpec(_PointSpec):
     """One severity point of a robustness ladder.
 
     ``point_index`` pins the seed derivation
@@ -221,54 +228,31 @@ class RobustnessPointSpec:
     kind = "robustness"
 
     def robustness_config(self):
-        from repro.errors import ConfigurationError, ImpairmentError
         from repro.impair import ImpairmentSpec
         from repro.sim.robustness import RobustnessConfig
         from repro.sim.scenario import default_office_scenario
 
-        try:
-            return RobustnessConfig(
-                scenario=default_office_scenario(tag_range_m=self.range_m),
-                impairments=ImpairmentSpec.parse(self.impair),
-                severities=(self.severity,),
-                num_frames=self.frames,
-                downlink_bits=self.downlink_bits,
-                uplink_bits=self.uplink_bits,
-                if_confidence_threshold=self.if_threshold,
-            )
-        except (ConfigurationError, ImpairmentError, TypeError, ValueError) as error:
-            raise ServeError(f"invalid robustness point: {error}") from None
+        return RobustnessConfig(
+            scenario=default_office_scenario(tag_range_m=self.range_m),
+            impairments=ImpairmentSpec.parse(self.impair),
+            severities=(self.severity,),
+            num_frames=self.frames,
+            downlink_bits=self.downlink_bits,
+            uplink_bits=self.uplink_bits,
+            if_confidence_threshold=self.if_threshold,
+        )
 
     def _seed_spec(self) -> SeedSpec:
         return SeedSpec.from_rng(self.seed).child(self.point_index)
 
-    def fingerprint(self) -> str:
-        from repro.sim.robustness import robustness_point_work_unit
-        from repro.store.fingerprint import fingerprint
+    def _workload_point(self):
+        from repro.sim.robustness import ROBUSTNESS_POINT
 
-        return fingerprint(
-            "robustness-point",
-            robustness_point_work_unit(
-                self.robustness_config(), self.severity, self._seed_spec(),
-                self.adaptive,
-            ),
-        )
+        point = (self.robustness_config(), self.severity, self._seed_spec())
+        return ROBUSTNESS_POINT, point
 
-    def compute(self, execution, store) -> "dict[str, Any]":
-        from repro.sim.robustness import _point_payload_dict, run_robustness_point
-
-        metrics = run_robustness_point(
-            self.robustness_config(),
-            self.severity,
-            self._seed_spec(),
-            execution=execution,
-            store=store,
-            adaptive=self.adaptive,
-        )
-        return {
-            "severity": float(self.severity),
-            "metrics": _point_payload_dict(metrics),
-        }
+    def _wire(self, metrics: "dict") -> "dict[str, Any]":
+        return {"severity": float(self.severity), "metrics": metrics}
 
 
 @dataclass(frozen=True)
@@ -307,9 +291,9 @@ _ADAPTIVE_KEYS = {
 def _parse_adaptive(job: "dict"):
     """The job's ``"adaptive"`` object as an AdaptiveConfig (None = fixed).
 
-    Defaults mirror the CLI: ``max_frames`` falls back to the job's
-    ``frames`` budget, ``batch_frames`` to ``min_frames``; validation is
-    AdaptiveConfig's own, surfaced as a submit-time rejection.
+    Defaults are the CLI's (:meth:`AdaptiveConfig.for_budget` over the
+    job's ``frames``); validation is AdaptiveConfig's own, surfaced as a
+    submit-time rejection.
     """
     raw = job.get("adaptive")
     if raw is None:
@@ -319,30 +303,24 @@ def _parse_adaptive(job: "dict"):
     unknown = sorted(set(raw) - _ADAPTIVE_KEYS)
     if unknown:
         raise ServeError(f"unknown adaptive field(s): {', '.join(unknown)}")
-    from repro.sim.adaptive import AdaptiveConfig
-
-    ci_width = _typed(raw, "ci_width", float, 0.25)
-    min_frames = _typed(raw, "min_frames", int, 10)
-    max_frames = _typed(raw, "max_frames", int, None)
-    if max_frames is None:
-        max_frames = _typed(job, "frames", int, 100)
-    batch_frames = _typed(raw, "batch_frames", int, None)
-    if batch_frames is None:
-        batch_frames = min_frames
     method = raw.get("method", "wilson")
     if not isinstance(method, str):
         raise ServeError(f"adaptive method must be a string, got {method!r}")
+    from repro.sim.adaptive import AdaptiveConfig
+
     try:
-        return AdaptiveConfig(
-            target_rel_width=ci_width,
-            min_frames=min(min_frames, max_frames),
-            max_frames=max_frames,
-            batch_frames=batch_frames,
+        return AdaptiveConfig.for_budget(
+            _typed(job, "frames", int, 100),
+            target_rel_width=_typed(raw, "ci_width", float, 0.25),
+            min_frames=_typed(raw, "min_frames", int, 10),
+            max_frames=_typed(raw, "max_frames", int, None),
+            batch_frames=_typed(raw, "batch_frames", int, None),
             confidence=_typed(raw, "confidence", float, 0.95),
             method=method,
         )
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         raise ServeError(f"invalid adaptive config: {error}") from None
+
 
 #: Mirrors the ``repro robustness`` CLI default bundle.
 DEFAULT_ROBUSTNESS_IMPAIR = (
@@ -373,20 +351,13 @@ def _base_ber_spec(job: "dict") -> BerPointSpec:
         seed=_typed(job, "seed", int, 0),
         adaptive=_parse_adaptive(job),
     )
-    if spec.frames < 1 or spec.payload_symbols < 1:
-        raise ServeError("frames and payload_symbols must be >= 1")
     # Bound the alphabet size before design: 2**symbol_bits codewords are
     # enumerated eagerly, so an unchecked large value is a parse-time DoS.
     if not 1 <= spec.symbol_bits <= 16:
         raise ServeError(
             f"symbol_bits must be in [1, 16], got {spec.symbol_bits}"
         )
-    if spec.distance_m is None or not spec.distance_m > 0:
-        raise ServeError(f"distance_m must be positive, got {spec.distance_m}")
-    # Validate the derived config eagerly so a bad spec is rejected at
-    # submit time, not when the point reaches the pool.
-    spec.trial_config()
-    return spec
+    return spec.validated()
 
 
 def _parse_ber(job: "dict") -> ParsedJob:
@@ -443,8 +414,6 @@ def _parse_robustness(job: "dict") -> ParsedJob:
     frames = _typed(job, "frames", int, 8)
     downlink_bits = _typed(job, "downlink_bits", int, 10)
     uplink_bits = _typed(job, "uplink_bits", int, 4)
-    if min(frames, downlink_bits, uplink_bits) < 1:
-        raise ServeError("frames, downlink_bits and uplink_bits must be >= 1")
     adaptive = _parse_adaptive({**job, "frames": frames})
     points = tuple(
         RobustnessPointSpec(
@@ -461,7 +430,7 @@ def _parse_robustness(job: "dict") -> ParsedJob:
         )
         for index, severity in enumerate(severities)
     )
-    points[0].robustness_config()  # eager validation, shared knobs
+    points[0].validated()  # the knobs every point shares
     return ParsedJob(kind="robustness", points=points)
 
 

@@ -197,6 +197,31 @@ class AdaptiveConfig:
                 f"method must be one of {INTERVAL_METHODS}, got {self.method!r}"
             )
 
+    @classmethod
+    def for_budget(
+        cls,
+        frames: int,
+        *,
+        min_frames: int,
+        max_frames: "int | None" = None,
+        batch_frames: "int | None" = None,
+        **rule,
+    ) -> "AdaptiveConfig":
+        """The rule ``--adaptive`` and a served job's ``"adaptive"`` build.
+
+        ``max_frames`` defaults to the fixed ``frames`` budget, which
+        becomes the cap; ``batch_frames`` defaults to ``min_frames`` (one
+        round reaches the earliest legal stop), and ``min_frames`` is
+        clipped to the cap.  ``rule`` holds the remaining fields.
+        """
+        max_frames = frames if max_frames is None else max_frames
+        return cls(
+            min_frames=min(min_frames, max_frames),
+            max_frames=max_frames,
+            batch_frames=min_frames if batch_frames is None else batch_frames,
+            **rule,
+        )
+
     def interval(self, errors: int, total: int) -> "tuple[float, float]":
         """The configured (lo, hi) confidence interval for errors/total."""
         return binomial_interval(

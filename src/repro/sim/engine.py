@@ -1,4 +1,4 @@
-"""Monte-Carlo engines behind the evaluation benches.
+"""Monte-Carlo engines behind the evaluation benches, and their one driver.
 
 Three workhorses:
 
@@ -9,35 +9,41 @@ Three workhorses:
 * :func:`run_localization_trials` — ranging error with fixed or varying
   slopes (Fig. 16).
 
-All three accept an ``execution`` :class:`~repro.sim.executor.ExecutionPlan`
-and fan trials out over the executor layer.  Trial ``i``'s generator is
-index-keyed off the root seed (``SeedSpec.stream(i)``), and per-trial
-results are reduced in trial order, so results are bit-identical for any
-worker count — the contract ``tests/unit/test_executor.py`` enforces.
-The plan's fault knobs (``max_retries``, ``chunk_timeout_s``,
-``on_failure``) apply unchanged: a worker crash mid-run is retried
-bit-identically, and only retry exhaustion surfaces as
-:class:`repro.errors.ExecutorError` with the failing trial indices.
-The trial bodies live in module-level ``_*_chunk`` functions so they can
-be pickled to worker processes; each chunk rebuilds its (deterministic)
-DSP objects once, amortising setup over the chunk's trials.  The
-downlink chunk has one implementation: it synthesizes and decodes its
-frames as stacked arrays.  The per-frame reference it must match bit for
-bit lives in the test suite.
+Each builds a *point* — the tuple of everything one run depends on, root
+:class:`~repro.utils.rng.SeedSpec` last, which doubles as the replay
+payload — and calls :func:`run_point`, the one driver of every
+Monte-Carlo workload (the robustness ladder's points included).  A
+:class:`Workload` describes a workload once; the driver alone validates
+the trial count, fingerprints the point, probes and fills the store,
+chooses between :func:`~repro.sim.executor.map_trials` and adaptive
+rounds, opens the engine span and writes the replay recipe ``repro
+cache verify`` recomputes from.  Serve point specs fingerprint and
+compute through it too, so served and batch runs share one code path.
 
-All three also accept ``store=`` (an
-:class:`repro.store.ExperimentStore`): the whole run is fingerprinted
-over its configuration + root :class:`~repro.utils.rng.SeedSpec` + trial
-count, a valid cache entry is returned without computing anything, and a
-fresh result is stored with a replay recipe so ``repro cache verify``
-can later recompute it bit-exactly.  Determinism makes the hit provably
-identical to the recompute; work units the fingerprinter cannot pin down
-simply run uncached.
+Trial ``i``'s generator is index-keyed off the root seed
+(``SeedSpec.stream(i)``) and per-trial results are reduced in trial
+order, so results are bit-identical for any worker count — the contract
+``tests/unit/test_executor.py`` enforces.  The plan's fault knobs
+(``max_retries``, ``chunk_timeout_s``, ``on_failure``) apply unchanged:
+a worker crash mid-run is retried bit-identically, and only retry
+exhaustion surfaces as :class:`repro.errors.ExecutorError` with the
+failing trial indices.  The trial bodies live in module-level
+``_*_chunk`` functions so they can be pickled to worker processes; each
+chunk rebuilds its (deterministic) DSP objects once, amortising setup
+over the chunk's trials.  The downlink chunk has one implementation: it
+synthesizes and decodes its frames as stacked arrays.  The per-frame
+reference it must match bit for bit lives in the test suite.
+
+With ``store=`` a valid cache entry is returned without computing
+anything; determinism makes the hit provably identical to the recompute.
+Work units the fingerprinter cannot pin down simply run uncached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -59,7 +65,8 @@ from repro.tag.decoder_dsp import TagDecoder
 from repro.tag.frontend import AnalyticTagFrontend
 from repro.tag.modulator import UplinkModulator
 from repro.components.van_atta import VanAttaArray
-from repro.sim.executor import ExecutionPlan, map_trials
+from repro.sim.adaptive import run_adaptive_trials
+from repro.sim.executor import ExecutionPlan, _is_picklable, map_trials
 from repro.sim.results import BerPoint
 from repro.utils.rng import SeedSpec
 from repro.utils.validation import ensure_positive
@@ -76,43 +83,145 @@ def _plain(value):
     return value
 
 
-def _store_lookup(store, kind: str, work_unit) -> "tuple[str | None, dict | None]":
-    """Fingerprint a work unit and probe the store.
+@dataclass(frozen=True)
+class Workload:
+    """What :func:`run_point` needs to know about one Monte-Carlo workload.
 
-    Returns ``(fingerprint, record)``; both ``None`` when no store is
-    attached or the work unit cannot be canonically fingerprinted (the
-    run then proceeds uncached — caching never changes *whether* an
-    engine runs).
+    One module constant per workload, next to its chunk; not a knob.
+    ``plan(point) -> (work unit, chunk payload, trial count)`` raises the
+    workload's domain errors before anything is fingerprinted;
+    ``reduce(point, per_trial, trajectory) -> (JSON payload, arrays or
+    None)`` is what the store keeps; ``decode(payload, arrays)`` is the
+    engine's return value, for a hit and a fresh run alike.  ``replay``
+    recomputes a fixed-budget point; an adaptive one's entry appends
+    ``_adaptive`` and its payload appends the stopping rule.  Workloads
+    with an ``adaptive_kind`` feed ``counts`` (per-trial ``(bit_errors,
+    bits)``) to the stopping rule.  ``span_args`` names work-unit fields
+    the span records besides the trial budget.
     """
-    if store is None:
-        return None, None
-    from repro.store.fingerprint import fingerprint
-    try:
-        work_fingerprint = fingerprint(kind, work_unit)
-    except StoreError:
-        return None, None
-    return work_fingerprint, store.get(work_fingerprint)
+
+    kind: str
+    span: str
+    replay: str
+    chunk: Callable
+    plan: Callable
+    reduce: Callable
+    decode: Callable
+    adaptive_kind: "str | None" = None
+    counts: "Callable | None" = None
+    span_args: "tuple[str, ...]" = ()
 
 
-def _store_put(store, work_fingerprint, kind, payload, *, arrays=None, replay_entry=None, replay_payload=None):
-    """Persist a fresh result (+ replay recipe when the payload pickles)."""
-    from repro.sim.executor import _is_picklable
+def _leading_counts(result) -> "tuple[int, int]":
+    """``(bit_errors, bits)``: the first two fields of a per-trial tuple."""
+    return result[0], result[1]
+
+
+def _point_unit(workload: Workload, point: tuple, adaptive) -> "tuple[str, dict, object, int]":
+    """``(kind, work unit, chunk payload, trial count)`` of a validated point."""
+    if adaptive is not None and workload.adaptive_kind is None:
+        raise SimulationError(f"{workload.kind} has no adaptive form")
+    unit, payload, num_trials = workload.plan(point)
+    if num_trials < 1:
+        raise SimulationError(f"{workload.kind} needs >= 1 trial, got {num_trials}")
+    if adaptive is None:
+        return workload.kind, unit, payload, num_trials
+    return workload.adaptive_kind, {**unit, "adaptive": adaptive}, payload, num_trials
+
+
+def point_work_unit(workload: Workload, point: tuple, adaptive=None) -> "tuple[str, dict]":
+    """The ``(kind, work_unit)`` a point's result is stored under.
+
+    Shared with the serve protocol so streamed jobs hit exactly the
+    entries batch runs write.  The adaptive stopping rule decides how
+    many trials exist, so it joins the unit; fixed-budget units (and the
+    caches built on them) never carry it.
+    """
+    kind, unit, _payload, _num_trials = _point_unit(workload, point, adaptive)
+    return kind, unit
+
+
+def _point_record(workload: Workload, point: tuple, adaptive, execution, store):
+    """``(payload, arrays)`` of one point: from the store, else computed."""
     from repro.store.cache import ReplayRecipe
+    from repro.store.fingerprint import fingerprint
 
-    replay = None
-    if replay_entry is not None and _is_picklable(replay_payload):
-        replay = ReplayRecipe(entry=replay_entry, payload=replay_payload)
-    store.put(work_fingerprint, kind, payload, arrays=arrays, replay=replay)
+    kind, unit, payload, num_trials = _point_unit(workload, point, adaptive)
+    work_fingerprint = None
+    if store is not None:
+        try:
+            work_fingerprint = fingerprint(kind, unit)
+        except StoreError:
+            pass  # not canonically fingerprintable: run uncached
+        else:
+            record = store.get(work_fingerprint)
+            if record is not None:
+                if "arrays_sha256" not in record:
+                    return record["payload"], None
+                arrays = store.load_arrays(work_fingerprint)
+                if arrays is not None:
+                    return record["payload"], arrays
+
+    spec = point[-1]
+    span_args = {name: unit[name] for name in workload.span_args}
+    trajectory = None
+    if adaptive is None:
+        with obs.span(workload.span, frames=num_trials, **span_args):
+            per_trial, _report = map_trials(
+                workload.chunk, payload, num_trials, spec, execution
+            )
+    else:
+        with obs.span(
+            workload.span, max_frames=adaptive.max_frames, adaptive=True, **span_args
+        ):
+            outcome = run_adaptive_trials(
+                workload.chunk, payload, adaptive, spec, execution,
+                counts=workload.counts,
+            )
+        per_trial, trajectory = outcome.per_trial, outcome.summary()
+    record_payload, arrays = workload.reduce(point, per_trial, trajectory)
+    if work_fingerprint is not None:
+        if adaptive is None:
+            entry, replay_payload = workload.replay, point
+        else:
+            entry, replay_payload = workload.replay + "_adaptive", point + (adaptive,)
+        replay = (
+            ReplayRecipe(entry=entry, payload=replay_payload)
+            if _is_picklable(replay_payload)
+            else None
+        )
+        store.put(work_fingerprint, kind, record_payload, arrays=arrays, replay=replay)
+    return record_payload, arrays
 
 
-def _ber_point_payload(point: "BerPoint") -> "dict":
-    return {
-        "parameter": float(point.parameter),
-        "ber": float(point.ber),
-        "bits_total": int(point.bits_total),
-        "bit_errors": int(point.bit_errors),
-        "extra": {key: _plain(value) for key, value in point.extra.items()},
-    }
+def run_point(
+    workload: Workload,
+    point: tuple,
+    *,
+    adaptive=None,
+    execution: "ExecutionPlan | None" = None,
+    store=None,
+):
+    """Run one Monte-Carlo point of ``workload``: the one engine driver.
+
+    ``point`` holds everything the result depends on, root
+    :class:`~repro.utils.rng.SeedSpec` last.  With ``store`` a valid
+    entry under the point's fingerprint short-circuits the run; a fresh
+    result is stored with a replay recipe.  ``adaptive`` (an
+    :class:`repro.sim.adaptive.AdaptiveConfig`, adaptive-capable
+    workloads only) runs index-keyed rounds until the CI rule stops,
+    with trial seeds unchanged.  A hit and a fresh run decode through
+    the same step, so they return equal values.
+    """
+    return workload.decode(*_point_record(workload, point, adaptive, execution, store))
+
+
+def _replay_point(workload: Workload, replay_payload: tuple, adaptive: bool = False) -> "dict":
+    """Recompute a stored point's payload from its replay recipe payload."""
+    rule = None
+    if adaptive:
+        replay_payload, rule = replay_payload[:-1], replay_payload[-1]
+    return _point_record(workload, replay_payload, rule, None, None)[0]
 
 
 def _ber_point_from_payload(payload: "dict") -> "BerPoint":
@@ -172,6 +281,47 @@ class DownlinkTrialConfig:
             radar_antenna=self.radar_config.antenna,
             frequency_hz=self.radar_config.center_frequency_hz,
         )
+
+
+def ber_trial_config(
+    *,
+    distance_m: float,
+    snr_db: "float | None",
+    symbol_bits: int,
+    bandwidth_ghz: float,
+    delta_l_inches: float,
+    frames: int,
+    payload_symbols: int,
+    full_sync: bool,
+    impair: "str | None",
+) -> DownlinkTrialConfig:
+    """The X-band downlink config behind ``repro ber`` and a served ``ber`` point.
+
+    One builder for both front ends, so a CLI run and a served point
+    with the same knobs fingerprint to the same store entry.  Raises the
+    alphabet-design, configuration and impairment-parse errors as they
+    are; each front end reports them its own way.
+    """
+    from repro.core.cssk import DecoderDesign
+    from repro.radar.config import XBAND_9GHZ
+
+    alphabet = CsskAlphabet.design(
+        bandwidth_hz=bandwidth_ghz * 1e9,
+        decoder=DecoderDesign.from_inches(delta_l_inches),
+        symbol_bits=symbol_bits,
+        chirp_period_s=120e-6,
+        min_chirp_duration_s=20e-6,
+    )
+    return DownlinkTrialConfig(
+        radar_config=XBAND_9GHZ.with_bandwidth(bandwidth_ghz * 1e9),
+        alphabet=alphabet,
+        distance_m=distance_m,
+        snr_override_db=snr_db,
+        num_frames=frames,
+        payload_symbols_per_frame=payload_symbols,
+        full_sync=full_sync,
+        impairments=ImpairmentSpec.parse(impair) if impair else None,
+    )
 
 
 def _effective_snr_override(config: DownlinkTrialConfig) -> "float | None":
@@ -374,18 +524,65 @@ def _downlink_chunk(
     return results
 
 
-def _replay_downlink_trials(payload) -> "dict":
-    """Recompute a cached downlink run (``repro cache verify`` hook)."""
-    config, spec = payload
-    return _ber_point_payload(run_downlink_trials(config, rng=spec))
+def _downlink_plan(point) -> "tuple[dict, DownlinkTrialConfig, int]":
+    config, spec = point
+    if config.payload_symbols_per_frame < 1:
+        raise SimulationError("payload_symbols_per_frame must be >= 1")
+    ensure_positive("distance_m", config.distance_m)
+    return {"config": config, "seed": spec}, config, config.num_frames
 
 
-def _replay_downlink_trials_adaptive(payload) -> "dict":
-    """Recompute a cached adaptive downlink run (``repro cache verify``)."""
-    config, spec, adaptive = payload
-    return _ber_point_payload(
-        run_downlink_trials(config, rng=spec, adaptive=adaptive)
+def _downlink_reduce(point, per_trial, trajectory) -> "tuple[dict, None]":
+    config, _spec = point
+    counter = ErrorCounter()
+    sync_failures = 0
+    for bit_errors, bits_total, sync_failed in per_trial:
+        counter.bit_errors += bit_errors
+        counter.bits_total += bits_total
+        sync_failures += sync_failed
+    parameter = (
+        config.snr_override_db if config.snr_override_db is not None else config.distance_m
     )
+    extra = {
+        "sync_failures": sync_failures,
+        "symbol_bits": config.alphabet.symbol_bits,
+        "bandwidth_hz": config.alphabet.bandwidth_hz,
+        "video_snr_db": config.resolved_budget().video_snr_db(config.distance_m),
+    }
+    if trajectory is not None:
+        extra["adaptive"] = trajectory
+    if _obs_runtime._enabled:
+        obs.log(
+            "engine.downlink.done",
+            frames=len(per_trial),
+            ber=counter.ber,
+            sync_failures=sync_failures,
+        )
+    payload = {
+        "parameter": float(parameter),
+        "ber": float(counter.ber),
+        "bits_total": int(counter.bits_total),
+        "bit_errors": int(counter.bit_errors),
+        "extra": {key: _plain(value) for key, value in extra.items()},
+    }
+    return payload, None
+
+
+DOWNLINK = Workload(
+    kind="downlink-trials",
+    span="engine.downlink",
+    replay="repro.sim.engine:_replay_downlink_trials",
+    chunk=_downlink_chunk,
+    plan=_downlink_plan,
+    reduce=_downlink_reduce,
+    decode=lambda payload, _arrays: _ber_point_from_payload(payload),
+    adaptive_kind="downlink-trials-adaptive",
+    counts=_leading_counts,
+)
+
+#: ``repro cache verify`` hooks; the entry strings are stored in caches.
+_replay_downlink_trials = partial(_replay_point, DOWNLINK)
+_replay_downlink_trials_adaptive = partial(_replay_point, DOWNLINK, adaptive=True)
 
 
 def downlink_trials_work_unit(
@@ -393,19 +590,10 @@ def downlink_trials_work_unit(
 ) -> "tuple[str, dict]":
     """The ``(kind, work_unit)`` a downlink run is fingerprinted under.
 
-    Shared with the serve protocol so streamed jobs hit exactly the
-    cache entries batch runs write.  Adaptive runs live under a distinct
-    kind with the stopping rule folded into the unit: the rule decides
-    how many trials exist, so it is part of the work's identity and
-    adaptive results never collide with fixed-budget ones.
+    Adaptive runs live under a distinct kind with the stopping rule
+    folded into the unit, so they never collide with fixed-budget ones.
     """
-    if adaptive is None:
-        return "downlink-trials", {"config": config, "seed": spec}
-    return "downlink-trials-adaptive", {
-        "config": config,
-        "seed": spec,
-        "adaptive": adaptive,
-    }
+    return point_work_unit(DOWNLINK, (config, spec), adaptive)
 
 
 def run_downlink_trials(
@@ -430,87 +618,8 @@ def run_downlink_trials(
     (``target_rel_width=0``) reproduces ``num_frames=max_frames``
     bit for bit; the stopping rule joins the store fingerprint.
     """
-    if config.num_frames < 1 or config.payload_symbols_per_frame < 1:
-        raise SimulationError("num_frames and payload_symbols_per_frame must be >= 1")
-    ensure_positive("distance_m", config.distance_m)
-
-    spec = SeedSpec.from_rng(rng)
-    kind, work_unit = downlink_trials_work_unit(config, spec, adaptive)
-    work_fingerprint, record = _store_lookup(store, kind, work_unit)
-    if record is not None:
-        return _ber_point_from_payload(record["payload"])
-
-    budget = config.resolved_budget()
-    plan = execution if execution is not None else ExecutionPlan()
-    trajectory = None
-    if adaptive is not None:
-        from repro.sim.adaptive import run_adaptive_trials
-
-        with obs.span(
-            "engine.downlink", max_frames=adaptive.max_frames, adaptive=True
-        ):
-            outcome = run_adaptive_trials(
-                _downlink_chunk,
-                config,
-                adaptive,
-                spec,
-                plan,
-                counts=lambda result: (result[0], result[1]),
-            )
-        per_trial = outcome.per_trial
-        trajectory = outcome.summary()
-    else:
-        with obs.span("engine.downlink", frames=config.num_frames):
-            per_trial, _report = map_trials(
-                _downlink_chunk, config, config.num_frames, spec, plan
-            )
-    counter = ErrorCounter()
-    sync_failures = 0
-    for bit_errors, bits_total, sync_failed in per_trial:
-        counter.bit_errors += bit_errors
-        counter.bits_total += bits_total
-        sync_failures += sync_failed
-    parameter = (
-        config.snr_override_db if config.snr_override_db is not None else config.distance_m
-    )
-    extra = {
-        "sync_failures": sync_failures,
-        "symbol_bits": config.alphabet.symbol_bits,
-        "bandwidth_hz": config.alphabet.bandwidth_hz,
-        "video_snr_db": budget.video_snr_db(config.distance_m),
-    }
-    if trajectory is not None:
-        extra["adaptive"] = trajectory
-    point = BerPoint(
-        parameter=float(parameter),
-        ber=counter.ber,
-        bits_total=counter.bits_total,
-        bit_errors=counter.bit_errors,
-        extra=extra,
-    )
-    if _obs_runtime._enabled:
-        obs.log(
-            "engine.downlink.done",
-            frames=len(per_trial),
-            ber=point.ber,
-            sync_failures=sync_failures,
-        )
-    if work_fingerprint is not None:
-        if adaptive is None:
-            replay_entry = "repro.sim.engine:_replay_downlink_trials"
-            replay_payload = (config, spec)
-        else:
-            replay_entry = "repro.sim.engine:_replay_downlink_trials_adaptive"
-            replay_payload = (config, spec, adaptive)
-        _store_put(
-            store,
-            work_fingerprint,
-            kind,
-            _ber_point_payload(point),
-            replay_entry=replay_entry,
-            replay_payload=replay_payload,
-        )
-    return point
+    point = (config, SeedSpec.from_rng(rng))
+    return run_point(DOWNLINK, point, adaptive=adaptive, execution=execution, store=store)
 
 
 def _sensing_scatterers(van_atta, frequency, tag_range_m, schedule, clutter):
@@ -556,17 +665,35 @@ def _uplink_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     return snrs
 
 
-def _replay_uplink_snr(payload) -> "dict":
-    """Recompute a cached uplink SNR run (``repro cache verify`` hook)."""
+def _uplink_plan(point) -> "tuple[dict, tuple, int]":
     (radar_config, modulator, van_atta, tag_range_m, num_chirps,
-     chirp_duration_s, clutter, num_trials, spec) = payload
-    snr_db = run_uplink_snr_measurement(
-        radar_config, modulator, van_atta,
-        tag_range_m=tag_range_m, num_chirps=num_chirps,
-        chirp_duration_s=chirp_duration_s, clutter=clutter,
-        rng=spec, num_trials=num_trials,
-    )
-    return {"snr_db": float(snr_db)}
+     chirp_duration_s, clutter, num_trials, spec) = point
+    ensure_positive("tag_range_m", tag_range_m)
+    unit = {
+        "radar_config": radar_config,
+        "modulator": modulator,
+        "van_atta": van_atta,
+        "tag_range_m": float(tag_range_m),
+        "num_chirps": int(num_chirps),
+        "chirp_duration_s": float(chirp_duration_s),
+        "clutter": clutter,
+        "num_trials": int(num_trials),
+        "seed": spec,
+    }
+    return unit, point[:7], num_trials
+
+
+UPLINK = Workload(
+    kind="uplink-snr",
+    span="engine.uplink",
+    replay="repro.sim.engine:_replay_uplink_snr",
+    chunk=_uplink_chunk,
+    plan=_uplink_plan,
+    reduce=lambda _point, snrs, _trajectory: ({"snr_db": float(np.median(snrs))}, None),
+    decode=lambda payload, _arrays: float(payload["snr_db"]),
+)
+
+_replay_uplink_snr = partial(_replay_point, UPLINK)
 
 
 def run_uplink_snr_measurement(
@@ -584,42 +711,11 @@ def run_uplink_snr_measurement(
     store=None,
 ) -> float:
     """Median uplink signature SNR (dB) at one distance (Fig. 15 point)."""
-    ensure_positive("tag_range_m", tag_range_m)
-    spec = SeedSpec.from_rng(rng)
-    work_unit = {
-        "radar_config": radar_config,
-        "modulator": modulator,
-        "van_atta": van_atta,
-        "tag_range_m": float(tag_range_m),
-        "num_chirps": int(num_chirps),
-        "chirp_duration_s": float(chirp_duration_s),
-        "clutter": clutter,
-        "num_trials": int(num_trials),
-        "seed": spec,
-    }
-    work_fingerprint, record = _store_lookup(store, "uplink-snr", work_unit)
-    if record is not None:
-        return float(record["payload"]["snr_db"])
-    payload = (
+    point = (
         radar_config, modulator, van_atta, tag_range_m, num_chirps,
-        chirp_duration_s, clutter,
+        chirp_duration_s, clutter, num_trials, SeedSpec.from_rng(rng),
     )
-    with obs.span("engine.uplink", trials=num_trials):
-        snrs, _report = map_trials(_uplink_chunk, payload, num_trials, spec, execution)
-    snr_db = float(np.median(snrs))
-    if work_fingerprint is not None:
-        _store_put(
-            store,
-            work_fingerprint,
-            "uplink-snr",
-            {"snr_db": snr_db},
-            replay_entry="repro.sim.engine:_replay_uplink_snr",
-            replay_payload=(
-                radar_config, modulator, van_atta, tag_range_m, num_chirps,
-                chirp_duration_s, clutter, num_trials, spec,
-            ),
-        )
-    return snr_db
+    return run_point(UPLINK, point, execution=execution, store=store)
 
 
 def _localization_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
@@ -669,8 +765,31 @@ def _localization_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     return errors
 
 
-def _localization_payload(errors: np.ndarray) -> "dict":
-    """Cache payload for a localization run: summary + array digest.
+def _localization_plan(point) -> "tuple[dict, tuple, int]":
+    (radar_config, alphabet, modulator, van_atta, tag_range_m,
+     varying_slopes, num_frames, num_chirps, clutter, spec) = point
+    ensure_positive("tag_range_m", tag_range_m)
+    unit = {
+        "radar_config": radar_config,
+        "alphabet": alphabet,
+        "modulator": modulator,
+        "van_atta": van_atta,
+        "tag_range_m": float(tag_range_m),
+        "varying_slopes": bool(varying_slopes),
+        "num_frames": int(num_frames),
+        "num_chirps": int(num_chirps),
+        "clutter": clutter,
+        "seed": spec,
+    }
+    payload = (
+        radar_config, alphabet, modulator, van_atta, tag_range_m,
+        varying_slopes, num_chirps, clutter,
+    )
+    return unit, payload, num_frames
+
+
+def _localization_reduce(_point, errors, _trajectory) -> "tuple[dict, dict]":
+    """Summary + array digest, and the per-frame errors as the ``.npz``.
 
     The digest (via :func:`repro.store.fingerprint.canonicalize`) folds
     the full per-frame array into the checksummed payload, so a replay
@@ -680,24 +799,25 @@ def _localization_payload(errors: np.ndarray) -> "dict":
     from repro.store.fingerprint import canonicalize
 
     errors = np.asarray(errors, dtype=np.float64)
-    return {
+    payload = {
         "num_frames": int(errors.size),
-        "median_abs_error_m": float(np.median(errors)) if errors.size else 0.0,
+        "median_abs_error_m": float(np.median(errors)),
         "errors_digest": canonicalize(errors),
     }
+    return payload, {"errors": errors}
 
 
-def _replay_localization(payload) -> "dict":
-    """Recompute a cached localization run (``repro cache verify`` hook)."""
-    (radar_config, alphabet, modulator, van_atta, tag_range_m,
-     varying_slopes, num_frames, num_chirps, clutter, spec) = payload
-    errors = run_localization_trials(
-        radar_config, alphabet, modulator, van_atta,
-        tag_range_m=tag_range_m, varying_slopes=varying_slopes,
-        num_frames=num_frames, num_chirps=num_chirps, clutter=clutter,
-        rng=spec,
-    )
-    return _localization_payload(errors)
+LOCALIZATION = Workload(
+    kind="localization-trials",
+    span="engine.localization",
+    replay="repro.sim.engine:_replay_localization",
+    chunk=_localization_chunk,
+    plan=_localization_plan,
+    reduce=_localization_reduce,
+    decode=lambda _payload, arrays: np.asarray(arrays["errors"], dtype=np.float64),
+)
+
+_replay_localization = partial(_replay_point, LOCALIZATION)
 
 
 def run_localization_trials(
@@ -723,45 +843,8 @@ def run_localization_trials(
     per-frame error array round-trips through the cache's ``.npz`` side
     file, bit-exactly (float64 preserved).
     """
-    ensure_positive("tag_range_m", tag_range_m)
-    spec = SeedSpec.from_rng(rng)
-    work_unit = {
-        "radar_config": radar_config,
-        "alphabet": alphabet,
-        "modulator": modulator,
-        "van_atta": van_atta,
-        "tag_range_m": float(tag_range_m),
-        "varying_slopes": bool(varying_slopes),
-        "num_frames": int(num_frames),
-        "num_chirps": int(num_chirps),
-        "clutter": clutter,
-        "seed": spec,
-    }
-    work_fingerprint, record = _store_lookup(store, "localization-trials", work_unit)
-    if record is not None:
-        arrays = store.load_arrays(work_fingerprint)
-        if arrays is not None and "errors" in arrays:
-            return np.asarray(arrays["errors"], dtype=np.float64)
-    payload = (
+    point = (
         radar_config, alphabet, modulator, van_atta, tag_range_m,
-        varying_slopes, num_chirps, clutter,
+        varying_slopes, num_frames, num_chirps, clutter, SeedSpec.from_rng(rng),
     )
-    with obs.span("engine.localization", frames=num_frames):
-        errors, _report = map_trials(
-            _localization_chunk, payload, num_frames, spec, execution
-        )
-    errors = np.asarray(errors, dtype=np.float64)
-    if work_fingerprint is not None:
-        _store_put(
-            store,
-            work_fingerprint,
-            "localization-trials",
-            _localization_payload(errors),
-            arrays={"errors": errors},
-            replay_entry="repro.sim.engine:_replay_localization",
-            replay_payload=(
-                radar_config, alphabet, modulator, van_atta, tag_range_m,
-                varying_slopes, num_frames, num_chirps, clutter, spec,
-            ),
-        )
-    return errors
+    return run_point(LOCALIZATION, point, execution=execution, store=store)

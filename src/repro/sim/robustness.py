@@ -13,7 +13,8 @@ Determinism follows the executor contract: severity point ``p`` seeds an
 independent :class:`~repro.utils.rng.SeedSpec` child, frame ``i`` inside
 it draws from ``spec.stream(i)``, and a fresh session is used per frame —
 no state crosses frame boundaries, so curves are bit-exact for any worker
-count or chunking.  With ``store=`` each severity point is cached under a
+count or chunking.  Each severity point runs through the engine driver
+(:func:`repro.sim.engine.run_point`); with ``store=`` it is cached under a
 fingerprint of (scenario, impairments, severity, frames, seed), so
 re-running a sweep with one new severity recomputes only that point.
 """
@@ -21,15 +22,17 @@ re-running a sweep with one new severity recomputes only that point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.core.ber import random_bits
-from repro.errors import SimulationError, StoreError
+from repro.errors import SimulationError
 from repro.impair.spec import ImpairmentSpec
 from repro.obs import runtime as _obs_runtime
-from repro.sim.executor import ExecutionPlan, map_trials
+from repro.sim.engine import Workload, _leading_counts, _replay_point, point_work_unit, run_point
+from repro.sim.executor import ExecutionPlan
 from repro.sim.results import format_table
 from repro.sim.scenario import Scenario
 from repro.utils.rng import SeedSpec
@@ -80,6 +83,15 @@ class DegradationCurve:
     if_fallback_rate: "list[float]" = field(default_factory=list)
     localization_rate: "list[float]" = field(default_factory=list)
 
+    def add(self, severity: float, metrics: "dict") -> None:
+        """Append one severity point's metrics dict."""
+        self.severities.append(float(severity))
+        for name in ("downlink_ber", "uplink_ber", "erasure_rate",
+                     "median_ranging_error_m", "if_fallback_rate"):
+            getattr(self, name).append(metrics[name])
+        # Records and servers that predate the metric: NaN = not recorded.
+        self.localization_rate.append(metrics.get("localization_rate", float("nan")))
+
     def rows(self) -> "list[list[str]]":
         """Table rows for :func:`repro.sim.results.format_table`."""
         out = []
@@ -119,13 +131,6 @@ class DegradationCurve:
             ],
             self.rows(),
         )
-
-
-def _point_payload_dict(metrics: "dict") -> "dict":
-    return {
-        key: (dict(value) if isinstance(value, dict) else float(value))
-        for key, value in metrics.items()
-    }
 
 
 def _robustness_chunk(payload, spec: SeedSpec, indices) -> "list[tuple]":
@@ -173,7 +178,8 @@ def _robustness_chunk(payload, spec: SeedSpec, indices) -> "list[tuple]":
     return results
 
 
-def _reduce_point(per_frame: "list[tuple]") -> "dict":
+def _point_reduce(_point, per_frame: "list[tuple]", trajectory) -> "tuple[dict, None]":
+    """The severity point's metrics dict, which is also its stored payload."""
     dl_errors = sum(r[0] for r in per_frame)
     dl_bits = sum(r[1] for r in per_frame)
     ul_errors = sum(r[2] for r in per_frame)
@@ -182,10 +188,10 @@ def _reduce_point(per_frame: "list[tuple]") -> "dict":
     rangings = [r[5] for r in per_frame if np.isfinite(r[5])]
     fallbacks = sum(r[6] for r in per_frame)
     chirps = sum(r[7] for r in per_frame)
-    return {
+    metrics = {
         "downlink_ber": dl_errors / dl_bits if dl_bits else 0.0,
         "uplink_ber": ul_errors / ul_bits if ul_bits else 0.0,
-        "erasure_rate": erased / len(per_frame) if per_frame else 0.0,
+        "erasure_rate": erased / len(per_frame),
         "median_ranging_error_m": (
             float(np.median(rangings)) if rangings else float("nan")
         ),
@@ -194,10 +200,11 @@ def _reduce_point(per_frame: "list[tuple]") -> "dict":
         # all-NaN point and a mostly-NaN point would otherwise be
         # indistinguishable — the rate says how much of the sample the
         # median actually covers.
-        "localization_rate": (
-            len(rangings) / len(per_frame) if per_frame else 0.0
-        ),
+        "localization_rate": len(rangings) / len(per_frame),
     }
+    if trajectory is not None:
+        metrics["adaptive"] = trajectory
+    return metrics, None
 
 
 def run_robustness_sweep(
@@ -229,32 +236,22 @@ def run_robustness_sweep(
     ``adaptive.max_frames`` frames ran.  Frame seeds are unchanged, and
     the stopping rule joins each point's store fingerprint.
     """
-    if config.num_frames < 1:
-        raise SimulationError(f"num_frames must be >= 1, got {config.num_frames}")
     if not config.severities:
         raise SimulationError("severities must be non-empty")
-    for severity in config.severities:
-        if not 0.0 <= severity <= 1.0:
-            raise SimulationError(f"severities must be in [0, 1], got {severity}")
-    ensure_positive("downlink_bits", config.downlink_bits)
-    ensure_positive("uplink_bits", config.uplink_bits)
-
     root = SeedSpec.from_rng(rng)
+    for point_index, severity in enumerate(config.severities):
+        # Reject a bad ladder before its first point runs.
+        point_work_unit(ROBUSTNESS_POINT, (config, severity, root.child(point_index)))
+
     curve = DegradationCurve()
     for point_index, severity in enumerate(config.severities):
         spec = root.child(point_index)
-        metrics = _run_point(config, severity, spec, execution, store, adaptive)
+        metrics = run_robustness_point(
+            config, severity, spec, execution=execution, store=store, adaptive=adaptive
+        )
         if on_point is not None:
             on_point(point_index, float(severity), dict(metrics))
-        curve.severities.append(float(severity))
-        curve.downlink_ber.append(metrics["downlink_ber"])
-        curve.uplink_ber.append(metrics["uplink_ber"])
-        curve.erasure_rate.append(metrics["erasure_rate"])
-        curve.median_ranging_error_m.append(metrics["median_ranging_error_m"])
-        curve.if_fallback_rate.append(metrics["if_fallback_rate"])
-        curve.localization_rate.append(
-            metrics.get("localization_rate", float("nan"))
-        )
+        curve.add(severity, metrics)
         if _obs_runtime._enabled:
             obs.log(
                 "robustness.point.done",
@@ -265,44 +262,13 @@ def run_robustness_sweep(
     return curve
 
 
-def _store_lookup_point(store, work_unit):
-    if store is None:
-        return None, None
-    from repro.store.fingerprint import fingerprint
-
-    try:
-        work_fingerprint = fingerprint("robustness-point", work_unit)
-    except StoreError:
-        return None, None
-    return work_fingerprint, store.get(work_fingerprint)
-
-
-def _replay_robustness_point(payload) -> "dict":
-    """Recompute a cached severity point (``repro cache verify`` hook)."""
-    config, severity, spec = payload
-    return _point_payload_dict(_run_point(config, severity, spec, None, None, None))
-
-
-def _replay_robustness_point_adaptive(payload) -> "dict":
-    """Recompute a cached adaptive severity point (``repro cache verify``)."""
-    config, severity, spec, adaptive = payload
-    return _point_payload_dict(
-        _run_point(config, severity, spec, None, None, adaptive)
-    )
-
-
-def robustness_point_work_unit(
-    config: RobustnessConfig, severity: float, spec: SeedSpec, adaptive=None
-) -> "dict":
-    """The canonical work unit one severity point is fingerprinted over.
-
-    Public so other layers (the serve scheduler's in-flight dedup) can
-    derive the exact key ``_run_point`` will store the result under.
-    The ``adaptive`` stopping rule joins the unit only when set, so every
-    pre-existing fixed-budget fingerprint (and the warm caches built on
-    them) is untouched.
-    """
-    work_unit = {
+def _point_plan(point) -> "tuple[dict, tuple, int]":
+    config, severity, spec = point
+    if not 0.0 <= severity <= 1.0:
+        raise SimulationError(f"severities must be in [0, 1], got {severity}")
+    ensure_positive("downlink_bits", config.downlink_bits)
+    ensure_positive("uplink_bits", config.uplink_bits)
+    unit = {
         "scenario": config.scenario,
         "impairments": config.impairments,
         "severity": float(severity),
@@ -312,9 +278,54 @@ def robustness_point_work_unit(
         "if_confidence_threshold": config.if_confidence_threshold,
         "seed": spec,
     }
-    if adaptive is not None:
-        work_unit["adaptive"] = adaptive
-    return work_unit
+    payload = (
+        config.scenario, config.impairments, severity,
+        config.downlink_bits, config.uplink_bits,
+        config.if_confidence_threshold,
+    )
+    return unit, payload, config.num_frames
+
+
+def _point_decode(payload, _arrays) -> "dict":
+    metrics = dict(payload)
+    # Records written before the metric existed stay loadable; NaN
+    # marks "not recorded" (vs a real 0.0 = never localized).
+    metrics.setdefault("localization_rate", float("nan"))
+    return metrics
+
+
+#: One severity point.  The adaptive stopping statistic is the downlink
+#: BER — the metric the degradation curve resolves error floors on.
+ROBUSTNESS_POINT = Workload(
+    kind="robustness-point",
+    span="robustness.point",
+    replay="repro.sim.robustness:_replay_robustness_point",
+    chunk=_robustness_chunk,
+    plan=_point_plan,
+    reduce=_point_reduce,
+    decode=_point_decode,
+    adaptive_kind="robustness-point",
+    counts=_leading_counts,
+    span_args=("severity",),
+)
+
+#: ``repro cache verify`` hooks; the entry strings are stored in caches.
+_replay_robustness_point = partial(_replay_point, ROBUSTNESS_POINT)
+_replay_robustness_point_adaptive = partial(_replay_point, ROBUSTNESS_POINT, adaptive=True)
+
+
+def robustness_point_work_unit(
+    config: RobustnessConfig, severity: float, spec: SeedSpec, adaptive=None
+) -> "dict":
+    """The canonical work unit one severity point is fingerprinted over.
+
+    Public so other layers (the serve scheduler's in-flight dedup) can
+    derive the exact key :func:`run_robustness_point` stores the result
+    under.  The ``adaptive`` stopping rule joins the unit only when set,
+    so every fixed-budget fingerprint (and the warm caches built on
+    them) is untouched.
+    """
+    return point_work_unit(ROBUSTNESS_POINT, (config, severity, spec), adaptive)[1]
 
 
 def run_robustness_point(
@@ -333,77 +344,7 @@ def run_robustness_point(
     public form lets a job server schedule, dedup, and stream severity
     points individually while staying bit-identical to the batch sweep.
     """
-    return _run_point(config, severity, spec, execution, store, adaptive)
-
-
-def _run_point(
-    config: RobustnessConfig,
-    severity: float,
-    spec: SeedSpec,
-    execution: "ExecutionPlan | None",
-    store,
-    adaptive=None,
-) -> "dict":
-    """One severity point: store probe, Monte-Carlo, store fill."""
-    work_unit = robustness_point_work_unit(config, severity, spec, adaptive)
-    work_fingerprint, record = _store_lookup_point(store, work_unit)
-    if record is not None:
-        metrics = dict(record["payload"])
-        # Records written before the metric existed stay loadable; NaN
-        # marks "not recorded" (vs a real 0.0 = never localized).
-        metrics.setdefault("localization_rate", float("nan"))
-        return metrics
-
-    payload = (
-        config.scenario, config.impairments, severity,
-        config.downlink_bits, config.uplink_bits,
-        config.if_confidence_threshold,
+    return run_point(
+        ROBUSTNESS_POINT, (config, severity, spec),
+        adaptive=adaptive, execution=execution, store=store,
     )
-    if adaptive is not None:
-        from repro.sim.adaptive import run_adaptive_trials
-
-        with obs.span(
-            "robustness.point",
-            severity=severity,
-            max_frames=adaptive.max_frames,
-            adaptive=True,
-        ):
-            # The stopping statistic is the downlink BER — the metric the
-            # degradation curve resolves error floors on.
-            outcome = run_adaptive_trials(
-                _robustness_chunk,
-                payload,
-                adaptive,
-                spec,
-                execution,
-                counts=lambda frame: (frame[0], frame[1]),
-            )
-        per_frame = outcome.per_trial
-        metrics = _reduce_point(per_frame)
-        metrics["adaptive"] = outcome.summary()
-    else:
-        with obs.span(
-            "robustness.point", severity=severity, frames=config.num_frames
-        ):
-            per_frame, _report = map_trials(
-                _robustness_chunk, payload, config.num_frames, spec, execution
-            )
-        metrics = _reduce_point(per_frame)
-    if work_fingerprint is not None:
-        from repro.sim.engine import _store_put
-
-        if adaptive is None:
-            replay_entry = "repro.sim.robustness:_replay_robustness_point"
-            replay_payload = (config, severity, spec)
-        else:
-            replay_entry = "repro.sim.robustness:_replay_robustness_point_adaptive"
-            replay_payload = (config, severity, spec, adaptive)
-        _store_put(
-            store,
-            work_fingerprint,
-            "robustness-point",
-            _point_payload_dict(metrics),
-            replay_entry=replay_entry,
-            replay_payload=replay_payload,
-        )
-    return metrics

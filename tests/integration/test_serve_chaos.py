@@ -1,7 +1,7 @@
 """Chaos integration: injected failures converge to golden results.
 
 Every test here runs a *real* server and drives a real client through
-:class:`repro.serve.chaosproxy.ChaosProxy` (or kills a real ``repro
+:class:`chaosproxy.ChaosProxy` (or kills a real ``repro
 serve`` subprocess outright), then asserts the two acceptance criteria
 of the crash-safe service layer:
 
@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.errors import ServeConnectionLost, ServeError
-from repro.serve.chaosproxy import ChaosConfig, ChaosProxyThread
+from chaosproxy import ChaosConfig, ChaosProxyThread
 from repro.serve.client import BackoffPolicy, ServeClient
 from repro.serve.journal import JobJournal
 from repro.serve.protocol import MAX_LINE_BYTES, encode_message, parse_job
