@@ -180,8 +180,10 @@ def _add_worker_options(parser) -> None:
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-chunk deadline; a stuck chunk's worker is killed and the "
-        "chunk retried with exponential backoff (default: no timeout)",
+        help="per-chunk deadline; a stuck chunk's worker process is killed "
+        "and the chunk retried with exponential backoff.  Deadlines need "
+        "worker processes: a run that fits in one chunk runs in-process, "
+        "where none applies (default: no timeout)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -351,7 +353,10 @@ def _add_serve(subparsers) -> None:
     )
     parser.add_argument(
         "--pool-workers", type=_positive_int, default=2,
-        help="concurrent points computed by the shared pool (default 2)",
+        help="points computed at once, each on its own thread; a point's "
+        "trials run under --workers/--max-retries/--chunk-timeout, and a "
+        "deadline needs worker processes: a point that fits in one chunk "
+        "runs in-process (default 2)",
     )
     parser.add_argument(
         "--max-pending", type=_positive_int, default=256,
@@ -374,17 +379,6 @@ def _add_serve(subparsers) -> None:
         "--no-journal", action="store_true",
         help="disable the write-ahead job journal (on by default when "
         "--cache-dir is set; --resume needs it)",
-    )
-    parser.add_argument(
-        "--point-retries", type=_nonnegative_int, default=1,
-        help="extra compute attempts before a failing/stalling point is "
-        "quarantined with a per-point `failed` frame (default 1)",
-    )
-    parser.add_argument(
-        "--point-timeout", type=_positive_float, default=None,
-        metavar="SECONDS",
-        help="per-attempt point deadline; a stalled worker past it is "
-        "abandoned and the thread pool rebuilt (default: none)",
     )
     _add_worker_options(parser)
     _add_obs_options(parser)
@@ -814,13 +808,18 @@ def _run_serve(args, out) -> int:
         metrics_port=getattr(args, "metrics_port", None),
         journal=not args.no_journal,
         resume=args.resume,
-        point_retries=args.point_retries,
-        point_timeout_s=args.point_timeout,
     )
     if args.resume and (args.no_journal or args.cache_dir is None):
         print(
             "error: --resume requires the journal (a --cache-dir and "
             "no --no-journal)",
+            file=out,
+        )
+        return 2
+    if args.chunk_timeout is not None and args.workers == 1:
+        print(
+            "error: --chunk-timeout needs worker processes (--workers > 1); "
+            "an in-process point cannot be stopped",
             file=out,
         )
         return 2

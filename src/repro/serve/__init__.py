@@ -17,9 +17,12 @@ The stack is crash-safe end to end.  Accepted jobs go into a durable
 write-ahead journal (:mod:`repro.serve.journal`) in the cache dir, and
 ``repro serve --resume`` replays a crashed server's incomplete jobs —
 already-stored points come back as cache hits, only missing points
-recompute.  The scheduler quarantines poison points (per-point ``failed``
-frames instead of dead jobs or pools) and abandons+rebuilds around
-stalled workers under ``point_timeout_s``.
+recompute.  The executor's :class:`repro.sim.executor.ExecutionPlan`
+(``repro serve --workers N --max-retries R --chunk-timeout S``) is the
+only recovery stack: it retries failed chunks and kills stuck worker
+processes inside each point's trial map.  The scheduler runs a point
+once and quarantines it if it raises (per-point ``failed`` frames
+instead of dead jobs).
 :meth:`repro.serve.client.ServeClient.run_resilient` survives the client
 side: deterministic capped backoff (:class:`BackoffPolicy`) honoring
 ``retry_after_s``, reconnects, and partial-stream resume that requests

@@ -3,9 +3,15 @@
 The scheduler owns the computational heart of the server.  Its contract:
 
 * **Single-threaded control plane.**  All scheduler state is mutated on
-  the event loop only.  Computations run in a ``ThreadPoolExecutor``
-  (``pool_workers`` slots) and report back via the loop, so no locks are
-  needed beyond the :class:`repro.store.InFlightRegistry`'s own.
+  the event loop only.  Each point's blocking ``compute`` runs in a
+  ``ThreadPoolExecutor`` (``pool_workers`` slots, created once) and
+  reports back via the loop, so no locks are needed beyond the
+  :class:`repro.store.InFlightRegistry`'s own.
+* **One recovery stack.**  Retries, per-chunk deadlines and killing a
+  stuck worker process come only from the server's
+  :class:`repro.sim.executor.ExecutionPlan` (``workers``,
+  ``max_retries``, ``chunk_timeout_s``), which every point's
+  ``compute`` receives.  The scheduler runs a point exactly once.
 * **Priority + FIFO.**  Queued points order by ``(priority, sequence)``:
   lower priority number first, submission order within a priority.
 * **Bounded backpressure.**  At most ``max_pending`` points may be
@@ -25,21 +31,13 @@ The scheduler owns the computational heart of the server.  Its contract:
   left is cancelled before it ever claims a pool slot; a *running* task
   finishes (its result still lands in the store, so the work is not
   wasted) but delivers to nobody.
-* **Poison-point quarantine.**  A point whose compute raises or stalls
-  through its retry budget (``point_retries`` extra attempts) is
-  reported to every subscriber as a per-point ``failed`` frame — the
-  rest of the job keeps streaming, the pool is never poisoned, and the
-  job still reaches ``done`` (with a ``failed`` index list).  The
+* **Poison-point quarantine.**  A point whose compute raises — an
+  :class:`repro.errors.ExecutorError` once the plan's retries are spent,
+  or any other error — is reported to every subscriber as a per-point
+  ``failed`` frame: the rest of the job keeps streaming and the job
+  still reaches ``done`` (with a ``failed`` index list).  The
   fingerprint joins an in-memory quarantine: resubmitting it answers
   instantly with ``failed`` instead of burning pool time again.
-* **Pool watchdog.**  With ``point_timeout_s`` set, every attempt runs
-  under a deadline.  A stalled worker cannot be killed (threads are not
-  processes), but it can be *abandoned*: the deadline fires, the thread
-  pool is rebuilt so the stuck thread no longer occupies a slot
-  (mirroring the executor's broken-pool recovery), and the point is
-  retried on the fresh pool.  If the abandoned thread eventually
-  finishes anyway, its result is discarded here but still lands in the
-  store — bit-identical, by the determinism contract.
 * **Durable journal.**  With a :class:`repro.serve.journal.JobJournal`
   attached, accepted jobs are journaled write-ahead (before their first
   point can reach the pool), points are marked complete as they deliver,
@@ -69,7 +67,6 @@ class PointTask:
 
     __slots__ = (
         "fingerprint", "spec", "subscribers", "state", "cached", "priority",
-        "attempts", "stalls",
     )
 
     def __init__(self, fingerprint: str, spec, priority: int = 0) -> None:
@@ -79,8 +76,6 @@ class PointTask:
         self.state = "queued"  # queued | running | done | cancelled
         self.cached = False
         self.priority = priority
-        self.attempts = 0
-        self.stalls = 0
 
 
 class Job:
@@ -118,8 +113,6 @@ class JobScheduler:
         max_pending: int = 256,
         retry_after_s: float = 1.0,
         journal=None,
-        point_retries: int = 1,
-        point_timeout_s: "float | None" = None,
     ) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -127,20 +120,12 @@ class JobScheduler:
             raise ValueError(f"pool_workers must be >= 1, got {pool_workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if point_retries < 0:
-            raise ValueError(f"point_retries must be >= 0, got {point_retries}")
-        if point_timeout_s is not None and point_timeout_s <= 0:
-            raise ValueError(
-                f"point_timeout_s must be positive, got {point_timeout_s}"
-            )
         self.execution = execution if execution is not None else ExecutionPlan()
         self.store = store
         self.journal = journal
         self.pool_workers = pool_workers
         self.max_pending = max_pending
         self.retry_after_s = retry_after_s
-        self.point_retries = point_retries
-        self.point_timeout_s = point_timeout_s
         self.inflight = InFlightRegistry()
         self._quarantined: "dict[str, str]" = {}
         self._loop = asyncio.get_running_loop()
@@ -151,6 +136,8 @@ class JobScheduler:
         self._idle = asyncio.Event()
         self._idle.set()
         self._draining = False
+        # A private pool, never the loop's default executor: that one
+        # caps its threads at os.cpu_count() + 4 whatever pool_workers says.
         self._pool = ThreadPoolExecutor(
             max_workers=pool_workers, thread_name_prefix="repro-serve"
         )
@@ -168,10 +155,7 @@ class JobScheduler:
             "points_deduped": 0,
             "points_cancelled": 0,
             "points_failed": 0,
-            "points_retried": 0,
-            "points_stalled": 0,
             "points_quarantined": 0,
-            "pool_rebuilds": 0,
             "journal_records": 0,
             "journal_replayed": 0,
         }
@@ -351,48 +335,13 @@ class JobScheduler:
         self._running += 1
         store = self.store
         task.cached = store is not None and store.contains(task.fingerprint)
-        plan = self._plan_for(task)
-        payload = None
         error: "Exception | None" = None
         try:
-            for attempt in range(1 + self.point_retries):
-                task.attempts = attempt + 1
-                if attempt > 0:
-                    self.counters["points_retried"] += 1
-                    if _obs_runtime._enabled:
-                        obs.inc("serve.recovery.point_retries")
-                future = self._loop.run_in_executor(
-                    self._pool, task.spec.compute, plan, store
-                )
-                try:
-                    # shield(): a deadline must abandon the pool thread,
-                    # not cancel the future mid-flight (the thread cannot
-                    # be interrupted anyway).
-                    payload = await asyncio.wait_for(
-                        asyncio.shield(future), timeout=self.point_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    error = TimeoutError(
-                        f"point exceeded its {self.point_timeout_s}s deadline "
-                        f"(attempt {attempt + 1})"
-                    )
-                    task.stalls += 1
-                    self.counters["points_stalled"] += 1
-                    if _obs_runtime._enabled:
-                        obs.inc("serve.recovery.stalled_points")
-                        obs.log(
-                            "serve.point.stalled",
-                            fingerprint=task.fingerprint,
-                            attempt=attempt + 1,
-                            deadline_s=self.point_timeout_s,
-                        )
-                    self._abandon(future)
-                    self._rebuild_pool()
-                except Exception as attempt_error:
-                    error = attempt_error
-                else:
-                    error = None
-                    break
+            payload = await self._loop.run_in_executor(
+                self._pool, task.spec.compute, self._plan_for(task), store
+            )
+        except Exception as compute_error:
+            error = compute_error
         finally:
             task.state = "done"
             self._running -= 1
@@ -405,39 +354,6 @@ class JobScheduler:
                 obs.inc("serve.points.computed")
             self._deliver(task, payload)
         self._finish_pending()
-
-    @staticmethod
-    def _abandon(future: "asyncio.Future") -> None:
-        """Detach from a stalled executor future without cancelling it.
-
-        The pool thread keeps running; if it eventually completes, its
-        exception (if any) is retrieved here so asyncio never logs a
-        "never retrieved" warning, and any result it produced has already
-        landed in the store — bit-identical to the retry's.
-        """
-        future.add_done_callback(
-            lambda done: done.cancelled() or done.exception()
-        )
-
-    def _rebuild_pool(self) -> None:
-        """Replace the thread pool so a stalled worker stops costing a slot.
-
-        Mirrors the executor's broken-pool recovery: the old pool is shut
-        down without waiting (its stuck thread is abandoned, not killed —
-        threads cannot be killed), and all future work dispatches to a
-        fresh pool with the full ``pool_workers`` capacity.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        old = self._pool
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.pool_workers, thread_name_prefix="repro-serve"
-        )
-        old.shutdown(wait=False)
-        self.counters["pool_rebuilds"] += 1
-        if _obs_runtime._enabled:
-            obs.inc("serve.recovery.pool_rebuilds")
-            obs.log("serve.pool.rebuilt")
 
     def _plan_for(self, task: PointTask) -> ExecutionPlan:
         """The shared plan, with a thread-safe progress bridge chained in.
@@ -489,10 +405,7 @@ class JobScheduler:
 
     def _quarantine(self, task: PointTask, error: Exception) -> None:
         """Poison-point containment: fail the point, never the job or pool."""
-        message = (
-            f"{type(error).__name__}: {error} "
-            f"(after {task.attempts} attempt(s))"
-        )
+        message = f"{type(error).__name__}: {error}"
         self._quarantined[task.fingerprint] = message
         self.counters["points_failed"] += 1
         self.counters["points_quarantined"] += 1
@@ -502,7 +415,6 @@ class JobScheduler:
             obs.log(
                 "serve.point.quarantined",
                 fingerprint=task.fingerprint,
-                attempts=task.attempts,
                 error=message,
             )
         for job, index in list(task.subscribers):
@@ -568,8 +480,11 @@ class JobScheduler:
             "running_points": self._running,
             "max_pending": self.max_pending,
             "pool_workers": self.pool_workers,
-            "point_retries": self.point_retries,
-            "point_timeout_s": self.point_timeout_s,
+            "execution": {
+                "workers": self.execution.workers,
+                "max_retries": self.execution.max_retries,
+                "chunk_timeout_s": self.execution.chunk_timeout_s,
+            },
             "draining": self._draining,
             "quarantined": sorted(self._quarantined),
             "counters": dict(self.counters),

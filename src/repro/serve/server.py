@@ -74,11 +74,6 @@ class ServeConfig:
     #: Replay incomplete journal records from a previous (crashed) server
     #: on startup, before accepting connections.
     resume: bool = False
-    #: Extra compute attempts per point before quarantining it.
-    point_retries: int = 1
-    #: Per-attempt deadline; a stalled worker past it is abandoned and
-    #: the thread pool rebuilt (``None`` = no deadline).
-    point_timeout_s: "float | None" = None
 
 
 class JobServer:
@@ -122,8 +117,6 @@ class JobServer:
             max_pending=self.config.max_pending,
             retry_after_s=self.config.retry_after_s,
             journal=journal,
-            point_retries=self.config.point_retries,
-            point_timeout_s=self.config.point_timeout_s,
         )
         if self.config.resume and journal is not None:
             self.replayed_jobs = self._replay_journal(journal)

@@ -386,20 +386,33 @@ def _run_serial(
         chunk_results, elapsed, _delta = _timed_chunk(
             chunk_fn, payload, spec, indices, chunk_number=chunk_number
         )
-        observer.chunk_completed(chunk_number, indices, elapsed)
-        timing = ChunkTiming(
-            chunk_index=chunk_number,
-            start_index=indices[0],
-            num_trials=len(indices),
-            seconds=elapsed,
-        )
-        timings.append(timing)
-        if plan.progress is not None:
-            plan.progress(timing)
-        if plan.on_chunk is not None:
-            plan.on_chunk(timing, list(chunk_results))
+        _chunk_done(plan, observer, timings, chunk_number, indices, chunk_results, elapsed)
         results.extend(chunk_results)
     return results, timings
+
+
+def _chunk_done(
+    plan: ExecutionPlan,
+    observer: "_ExecutionObserver",
+    timings: "list[ChunkTiming]",
+    number: int,
+    indices: "Sequence[int]",
+    chunk_results: list,
+    elapsed: float,
+) -> None:
+    """Report one finished chunk: telemetry, its timing, the plan's hooks."""
+    observer.chunk_completed(number, indices, elapsed)
+    timing = ChunkTiming(
+        chunk_index=number,
+        start_index=indices[0],
+        num_trials=len(indices),
+        seconds=elapsed,
+    )
+    timings.append(timing)
+    if plan.progress is not None:
+        plan.progress(timing)
+    if plan.on_chunk is not None:
+        plan.on_chunk(timing, list(chunk_results))
 
 
 class _ExecutionObserver:
@@ -769,20 +782,11 @@ class _PoolRunner:
         if delta is not None:
             # Fold the worker's per-chunk metrics back into this process.
             obs.merge_into_registry(delta)
-        self.observer.chunk_completed(number, self.chunks[number], elapsed)
         self.completed[number] = chunk_results
-        indices = self.chunks[number]
-        timing = ChunkTiming(
-            chunk_index=number,
-            start_index=indices[0],
-            num_trials=len(indices),
-            seconds=elapsed,
+        _chunk_done(
+            self.plan, self.observer, self.timings, number, self.chunks[number],
+            chunk_results, elapsed,
         )
-        self.timings.append(timing)
-        if self.plan.progress is not None:
-            self.plan.progress(timing)
-        if self.plan.on_chunk is not None:
-            self.plan.on_chunk(timing, list(chunk_results))
 
     def _submit(self, number: int) -> None:
         self.observer.chunk_dispatched(
@@ -933,19 +937,6 @@ class _PoolRunner:
         return results, self.timings
 
 
-def _run_process_pool(
-    chunk_fn,
-    payload,
-    spec: SeedSpec,
-    chunks: "list[range]",
-    plan: ExecutionPlan,
-    workers: int,
-    observer: _ExecutionObserver,
-) -> "tuple[list, list[ChunkTiming]]":
-    runner = _PoolRunner(chunk_fn, payload, spec, chunks, plan, workers, observer)
-    return runner.run()
-
-
 def map_trials(
     chunk_fn,
     payload: Any,
@@ -1004,9 +995,9 @@ def map_trials(
             backend = "serial-fallback:unpicklable"
         else:
             try:
-                results, timings = _run_process_pool(
+                results, timings = _PoolRunner(
                     chunk_fn, payload, spec, chunks, plan, workers, observer
-                )
+                ).run()
                 backend = "process"
             except (OSError, ImportError, PermissionError) as error:
                 # Pool creation refused (sandbox, missing semaphores):

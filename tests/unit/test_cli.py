@@ -241,6 +241,29 @@ class TestRobustnessCommand:
             build_parser().parse_args(["robustness", "--severities", ""])
 
 
+class TestServeCommand:
+    def test_chunk_timeout_needs_worker_processes(self, monkeypatch):
+        from repro.serve import server
+
+        started = []
+        monkeypatch.setattr(
+            server, "run_server",
+            lambda config, out: started.append(config) or 0,
+        )
+        code, text = run_cli(["serve", "--port", "0", "--chunk-timeout", "30"])
+        assert code == 2
+        assert text.startswith("error: --chunk-timeout needs worker processes")
+        assert text.count("\n") == 1
+        assert started == []
+        code, _ = run_cli(
+            ["serve", "--port", "0", "--workers", "2", "--chunk-timeout", "30"]
+        )
+        assert code == 0
+        (config,) = started
+        assert config.execution.workers == 2
+        assert config.execution.chunk_timeout_s == 30.0
+
+
 class TestVersionFlag:
     def test_version_prints_and_exits(self, capsys):
         from repro import __version__

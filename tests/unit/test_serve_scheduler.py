@@ -13,8 +13,11 @@ import asyncio
 import threading
 import time
 
+from test_faults import _gone, _stall_once_pid_chunk
+
 from repro.serve.protocol import ParsedJob
 from repro.serve.scheduler import JobScheduler
+from repro.sim.executor import ExecutionPlan, map_trials
 
 
 class FakeSpec:
@@ -22,16 +25,20 @@ class FakeSpec:
 
     kind = "fake"
 
-    def __init__(self, name, *, gate=None, fail=False, computed=None):
+    def __init__(self, name, *, gate=None, fail=False, computed=None,
+                 calls=None):
         self.name = name
         self.gate = gate
         self.fail = fail
         self.computed = computed
+        self.calls = calls
 
     def fingerprint(self):
         return f"fp-{self.name}"
 
     def compute(self, execution, store):
+        if self.calls is not None:
+            self.calls.append(self.name)
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0), "test gate never released"
         if self.fail:
@@ -39,6 +46,20 @@ class FakeSpec:
         if self.computed is not None:
             self.computed.append(self.name)
         return {"name": self.name}
+
+
+class StallingSpec(FakeSpec):
+    """A point whose trial map stalls one worker past any deadline."""
+
+    def __init__(self, name, payload):
+        super().__init__(name)
+        self.payload = payload
+
+    def compute(self, execution, store):
+        values, _report = map_trials(
+            _stall_once_pid_chunk, self.payload, 2, rng=9, plan=execution
+        )
+        return {"name": self.name, "values": values}
 
 
 class FakeSession:
@@ -284,23 +305,23 @@ class TestScheduler:
     def test_point_failure_quarantines_point_and_job_completes(self):
         async def scenario():
             gate = threading.Event()
-            scheduler = JobScheduler(
-                pool_workers=1, max_pending=8, point_retries=1
-            )
+            calls = []
+            scheduler = JobScheduler(pool_workers=1, max_pending=8)
             session = FakeSession()
             scheduler.submit(
                 session, "bad",
-                job_of(FakeSpec("boom", gate=gate, fail=True), FakeSpec("tail")),
+                job_of(FakeSpec("boom", gate=gate, fail=True, calls=calls),
+                       FakeSpec("tail")),
             )
             gate.set()
             await settled(scheduler)
-            # The poisoned point is reported per-point, not as a job kill.
+            # The poisoned point is reported per-point, not as a job kill,
+            # after exactly one attempt: retries belong to the executor.
             (failed,) = session.of_type("failed")
             assert failed["index"] == 0
-            assert "synthetic point failure" in failed["error"]
-            assert "2 attempt(s)" in failed["error"]  # 1 + point_retries
+            assert failed["error"] == "RuntimeError: synthetic point failure"
+            assert calls == ["boom"]
             assert scheduler.counters["points_failed"] == 1
-            assert scheduler.counters["points_retried"] == 1
             assert scheduler.counters["points_quarantined"] == 1
             assert "fp-boom" in scheduler.status()["quarantined"]
             # The rest of the job still streamed, and done names the loss.
@@ -331,31 +352,37 @@ class TestScheduler:
 
         asyncio.run(scenario())
 
-    def test_stalled_point_is_abandoned_and_pool_rebuilt(self):
+    def test_stalled_worker_is_killed_by_the_plan_deadline(self, tmp_path):
         async def scenario():
-            release = threading.Event()
-            scheduler = JobScheduler(
-                pool_workers=1, max_pending=8,
-                point_retries=0, point_timeout_s=0.1,
+            # The plan the scheduler hands to compute is the only
+            # deadline: past it the executor kills the stuck worker
+            # process and, with no retries left, raises ExecutorError.
+            plan = ExecutionPlan(
+                workers=2, chunk_size=1, max_retries=0, chunk_timeout_s=3.0
             )
+            scheduler = JobScheduler(
+                execution=plan, pool_workers=1, max_pending=8
+            )
+            pid_path = tmp_path / "stall.pid"
+            payload = (str(tmp_path / "stall.flag"), str(pid_path), 1)
             session = FakeSession()
             scheduler.submit(
-                session, "stuck", job_of(FakeSpec("wedge", gate=release))
+                session, "stuck", job_of(StallingSpec("wedge", payload))
             )
-            await settled(scheduler)
-            # The deadline fired: stalled counter, pool rebuild, and the
-            # point quarantined as failed (retry budget exhausted).
-            assert scheduler.counters["points_stalled"] == 1
-            assert scheduler.counters["pool_rebuilds"] == 1
+            # The chunk sleeps 60 s, so only the deadline ends it in time.
+            await eventually(lambda: session.of_type("done") != [], timeout=30.0)
             (failed,) = session.of_type("failed")
-            assert "deadline" in failed["error"]
-            # The fresh pool computes new work while the abandoned thread
-            # is still wedged on its gate.
+            error = failed["error"]
+            assert error.startswith("ExecutorError: ")
+            assert "[timeout]" in error
+            shown = error.split("trial indices: ", 1)[1].split(")", 1)[0]
+            assert "1" in shown.split(", ")
+            assert _gone(int(pid_path.read_text()))
+            assert session.of_type("done")[0]["failed"] == [0]
             fresh = FakeSession()
             scheduler.submit(fresh, "after", job_of(FakeSpec("alive")))
             await settled(scheduler)
             assert fresh.of_type("point")[0]["payload"] == {"name": "alive"}
-            release.set()  # unwedge the abandoned thread before teardown
             await scheduler.close()
 
         asyncio.run(scenario())
@@ -431,15 +458,15 @@ class TestScheduler:
             assert status["max_pending"] == 7
             assert status["pool_workers"] == 3
             assert status["draining"] is False
-            assert status["point_retries"] == 1
-            assert status["point_timeout_s"] is None
+            assert status["execution"] == {
+                "workers": 1, "max_retries": 2, "chunk_timeout_s": None,
+            }
             assert status["quarantined"] == []
             assert set(status["counters"]) == {
                 "jobs_accepted", "jobs_rejected", "jobs_cancelled",
                 "jobs_completed", "points_submitted", "points_computed",
                 "points_deduped", "points_cancelled", "points_failed",
-                "points_retried", "points_stalled", "points_quarantined",
-                "pool_rebuilds", "journal_records", "journal_replayed",
+                "points_quarantined", "journal_records", "journal_replayed",
             }
             assert status["inflight"] == {"created": 0, "shared": 0, "active": 0}
             await scheduler.close()
