@@ -4,14 +4,17 @@ The scheduler (PR 7) is careful about many failure modes — disconnects,
 backpressure, drain — but a *server crash* silently lost every accepted
 job: clients saw a dead socket and the work-in-progress evaporated.  This
 module closes that gap.  Every accepted job is recorded in the cache
-directory **before** its first point reaches the pool (write-ahead), each
-point is marked complete as it is delivered, and the record is removed
-once the whole job has streamed out.  ``repro serve --resume`` replays
-incomplete records on startup: completed points come back instantly from
-the content-addressed store (their results landed before the crash; the
+directory **before** its first point reaches the pool (write-ahead) and
+the record is removed once the whole job has streamed out: one fsync'd
+write per job, whatever its size.  The content-addressed store, not the
+record, is the completion ledger.  ``repro serve --resume`` replays
+incomplete records on startup: points delivered before the crash come
+back instantly as store hits (their results landed before delivery; the
 engines' own fingerprints find them), so only genuinely missing points
 recompute, and the reassembled stream is bit-identical to an
-uninterrupted run.
+uninterrupted run.  A record's ``completed`` list is read-only: this
+build writes it empty, and replay still skips what records left by
+earlier builds list there.
 
 Records live under ``<cache-root>/journal/<journal_id>.json``, one JSON
 object per file, written with the store's fsync'd atomic-write discipline
@@ -78,7 +81,8 @@ class JournalRecord:
     ``point_indices`` is the optional submit-time subset (a resuming
     client requesting only its gap); ``fingerprints`` are the per-point
     engine fingerprints computed on admission; ``completed`` holds the
-    indices (positions within ``fingerprints``) already delivered.
+    indices (positions within ``fingerprints``) a record written by an
+    earlier build marked delivered (this build leaves it empty).
     """
 
     journal_id: str
@@ -92,7 +96,7 @@ class JournalRecord:
     created_unix: float = 0.0
 
     def remaining(self) -> "tuple[int, ...]":
-        """Point indices not yet marked complete."""
+        """Point indices the record does not list as ``completed``."""
         done = set(self.completed)
         return tuple(
             index for index in range(len(self.fingerprints))
@@ -243,20 +247,6 @@ class JobJournal:
         )
         self._write(record)
         return record
-
-    def mark_complete(self, journal_id: str, index: int) -> None:
-        """Mark one point delivered (read-modify-write, atomic).
-
-        A missing record is tolerated (the job may have been finished by
-        a concurrent delivery or swept externally) — completion marking
-        must never take a live stream down.
-        """
-        record = self.get(journal_id)
-        if record is None or index in record.completed:
-            return
-        self._write(
-            replace(record, completed=tuple(sorted((*record.completed, index))))
-        )
 
     def finish(self, journal_id: str) -> None:
         """Remove a fully-delivered (or explicitly abandoned) job's record."""

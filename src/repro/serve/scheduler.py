@@ -39,10 +39,11 @@ The scheduler owns the computational heart of the server.  Its contract:
   fingerprint joins an in-memory quarantine: resubmitting it answers
   instantly with ``failed`` instead of burning pool time again.
 * **Durable journal.**  With a :class:`repro.serve.journal.JobJournal`
-  attached, accepted jobs are journaled write-ahead (before their first
-  point can reach the pool), points are marked complete as they deliver,
-  and the record is removed at ``done``/cancel — the crash-recovery
-  story ``repro serve --resume`` is built on.
+  attached, an accepted job is journaled write-ahead (one fsync'd write,
+  before its first point can reach the pool) and its record is removed
+  at ``done``/cancel.  Delivery writes nothing: a delivered point's
+  result is already in the store, which a ``repro serve --resume``
+  replay reads back as a hit.
 * **Graceful drain.**  ``drain()`` stops admissions and waits for every
   pending point to resolve, so shutdown never truncates a stream.
 """
@@ -93,8 +94,6 @@ class Job:
         self.cancelled = False
         self.failed: "list[int]" = []
         self.journal_id: "str | None" = None
-        #: Stream index -> journal-record position (replayed jobs only).
-        self.index_map: "tuple[int, ...] | None" = None
 
 
 class JobScheduler:
@@ -166,7 +165,6 @@ class JobScheduler:
                *, raw_job: "dict[str, Any] | None" = None,
                point_indices: "tuple[int, ...] | None" = None,
                journal_record=None,
-               index_map: "tuple[int, ...] | None" = None,
                force: bool = False,
                ) -> "tuple[dict[str, Any], Optional[Job]]":
         """Admit (or reject) a parsed job; returns ``(reply, job|None)``.
@@ -177,10 +175,9 @@ class JobScheduler:
         was.  ``raw_job`` is the submitted job object for write-ahead
         journaling and ``point_indices`` the submit-time subset that
         produced ``parsed`` (recorded so a replay can re-select it);
-        ``journal_record``/``index_map`` re-attach an existing record
-        during ``--resume`` replay (``index_map[i]`` is the record
-        position of stream index ``i``); ``force`` bypasses the capacity
-        check (replay of already-admitted work only).
+        ``journal_record`` re-attaches an existing record during
+        ``--resume`` replay; ``force`` bypasses the capacity check
+        (replay of already-admitted work only).
         """
         if self._draining:
             self.counters["jobs_rejected"] += 1
@@ -221,7 +218,6 @@ class JobScheduler:
         # can reach the pool, or a crash in between loses the job.
         if journal_record is not None:
             job.journal_id = journal_record.journal_id
-            job.index_map = index_map
         elif self.journal is not None and raw_job is not None:
             record = self.journal.record(
                 kind=parsed.kind, job=raw_job, fingerprints=fingerprints,
@@ -396,11 +392,6 @@ class JobScheduler:
                 "fingerprint": task.fingerprint,
                 "shared": shared, "cached": task.cached,
             })
-            if job.journal_id is not None and self.journal is not None:
-                record_index = (
-                    job.index_map[index] if job.index_map is not None else index
-                )
-                self.journal.mark_complete(job.journal_id, record_index)
             self._finish_point(job)
 
     def _quarantine(self, task: PointTask, error: Exception) -> None:

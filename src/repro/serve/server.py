@@ -148,9 +148,10 @@ class JobServer:
         ``parse_job``, and the recomputed fingerprints must equal the ones
         journaled on admission — a mismatch means the code drifted across
         the restart, and the record is dropped loudly rather than replayed
-        wrong.  Only the record's not-yet-completed points are scheduled;
-        their computes route through the store, so anything that landed
-        before the crash is a cache hit, not a recompute.
+        wrong.  Every point a record lists is scheduled (less any an
+        earlier build marked ``completed``); their computes route through
+        the store, so anything that landed before the crash is a cache
+        hit, not a recompute.
         """
         from repro.errors import ServeError
         from repro.serve.protocol import parse_job, select_points
@@ -200,7 +201,7 @@ class JobServer:
             )
             self.scheduler.submit(
                 _ReplaySession(), f"replay-{adopted.journal_id}", subset,
-                journal_record=adopted, index_map=remaining, force=True,
+                journal_record=adopted, force=True,
             )
             self.scheduler.counters["journal_replayed"] += 1
             replayed += 1

@@ -42,7 +42,7 @@ Work units the fingerprinter cannot pin down simply run uncached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -343,24 +343,23 @@ class _DownlinkBatchLayout:
 
     Everything the encoder derives object-by-object — slot start
     times, per-symbol chirp durations and slopes, the Gray bit->symbol map
-    — is tabulated once per chunk so synthesizing a whole chunk of frames
-    never touches ``DownlinkPacket`` / ``FrameSchedule`` / per-slot Python
-    loops.  Every table entry is produced by the *same* float expressions
-    the object path evaluates (``bandwidth / duration`` for slopes,
-    ``index * period`` for starts, ``gray_decode(packed bits)`` for
-    symbols), which keeps layout-based synthesis bit-identical to the encoder's.
+    — is tabulated once per ``(alphabet, fields, num_payload)`` key and
+    process (see :func:`_downlink_layout`), so synthesizing a chunk of
+    frames never touches ``DownlinkPacket`` / ``FrameSchedule`` / per-slot
+    Python loops.  Every table entry is produced by the *same* float
+    expressions the object path evaluates (``bandwidth / duration`` for
+    slopes, ``index * period`` for starts, ``gray_decode(packed bits)``
+    for symbols), which keeps layout-based synthesis bit-identical to the
+    encoder's.  The tables are shared, so they are read-only.
     """
 
-    def __init__(self, config: DownlinkTrialConfig) -> None:
+    def __init__(self, alphabet: CsskAlphabet, fields: PacketFields, num_payload: int) -> None:
         from repro.core.cssk import gray_decode
 
-        alphabet = config.alphabet
-        self.alphabet = alphabet
-        self.num_payload = config.payload_symbols_per_frame
-        fields = config.fields
+        self.num_payload = num_payload
         self.header_repeats = fields.header_repeats
         self.sync_repeats = fields.sync_repeats
-        self.num_slots = fields.preamble_length + self.num_payload
+        self.num_slots = fields.preamble_length + num_payload
         period = alphabet.chirp_period_s
         self.start_times_s = np.array(
             [index * period for index in range(self.num_slots)]
@@ -376,15 +375,15 @@ class _DownlinkBatchLayout:
         self.data_durations = np.array(
             [alphabet.data_symbol_duration_s(s) for s in range(alphabet.num_data_symbols)]
         )
-        self.data_slopes = np.array(
-            [bandwidth / alphabet.data_symbol_duration_s(s)
-             for s in range(alphabet.num_data_symbols)]
-        )
+        self.data_slopes = bandwidth / self.data_durations
         width = alphabet.symbol_bits
         self.bit_weights = 1 << np.arange(width - 1, -1, -1)
         self.symbol_of_code = np.array(
             [gray_decode(code) for code in range(2**width)], dtype=int
         )
+        for table in (self.start_times_s, self.data_durations, self.data_slopes,
+                      self.bit_weights, self.symbol_of_code):
+            table.setflags(write=False)
 
     def payload_symbols(self, payloads: "list[np.ndarray]") -> np.ndarray:
         """(batch, num_payload) Gray-decoded symbol indices.
@@ -409,6 +408,9 @@ class _DownlinkBatchLayout:
         durations[:, preamble:] = self.data_durations[symbols]
         slopes[:, preamble:] = self.data_slopes[symbols]
         return durations, slopes
+
+
+_downlink_layout = lru_cache(maxsize=32)(_DownlinkBatchLayout)
 
 
 def _downlink_chunk(
@@ -460,7 +462,9 @@ def _downlink_chunk(
     else:
         from repro.tag.frontend import TagCapture, _synthesize_batch
 
-        layout = _DownlinkBatchLayout(config)
+        layout = _downlink_layout(
+            config.alphabet, config.fields, config.payload_symbols_per_frame
+        )
         fs = budget.adc.sample_rate_hz
         total_samples = int(round(layout.duration_s * fs))
         if total_samples < 2:

@@ -789,18 +789,22 @@ class _PoolRunner:
         )
 
     def _submit(self, number: int) -> None:
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
         self.observer.chunk_dispatched(
             number, self.chunks[number], attempt=self.attempts[number], backend="process"
         )
-        future = self.pool.submit(
-            _timed_chunk,
-            self.chunk_fn,
-            self.payload,
-            self.spec,
-            list(self.chunks[number]),
-            number,
-            True,
-        )
+        try:
+            future = self.pool.submit(
+                _timed_chunk, self.chunk_fn, self.payload, self.spec,
+                list(self.chunks[number]), number, True,
+            )
+        except BrokenProcessPool as error:
+            # A worker died before this chunk was queued: a failed future
+            # sends it down the drain loop's rebuild path with the rest.
+            future = Future()
+            future.set_exception(error)
         self.pending[future] = number
         if self.plan.chunk_timeout_s is not None:
             deadline_s = self.plan.chunk_timeout_s * (TIMEOUT_BACKOFF ** self.attempts[number])

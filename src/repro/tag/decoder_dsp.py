@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -184,27 +185,6 @@ class TagDecoder:
 
     # ------------------------------------------------------------------ symbols
 
-    def _hypothesis_table(self, fs: float) -> "list[tuple[str, int | None, float, int]]":
-        """(kind, symbol, beat_hz, window_samples) for every hypothesis.
-
-        A drifted tag clock (``clock_offset_ppm``) makes the ADC run fast
-        or slow, so a true tone at ``f`` lands at ``f / (1 + delta)`` on
-        the tag's sample grid — the whole hypothesis bank skews by that
-        factor.  With zero offset the skew is exactly 1.0 and the table is
-        unchanged.
-        """
-        skew = 1.0 / (1.0 + self.clock_offset_ppm * 1e-6)
-        table: "list[tuple[str, int | None, float, int]]" = []
-        header_n = int(round(self.window_fraction * self.alphabet.header_duration_s * fs))
-        table.append(("header", None, self.alphabet.header_beat_hz * skew, max(header_n, 4)))
-        sync_n = int(round(self.window_fraction * self.alphabet.sync_duration_s * fs))
-        table.append(("sync", None, self.alphabet.sync_beat_hz * skew, max(sync_n, 4)))
-        for symbol, beat in enumerate(self.alphabet.data_beats_hz):
-            duration = self.alphabet.data_symbol_duration_s(symbol)
-            n = max(int(round(self.window_fraction * duration * fs)), 4)
-            table.append(("data", symbol, beat * skew, n))
-        return table
-
     @staticmethod
     def _slot_projector(beat_hz: float, n_on: int, n_slot: int, fs: float) -> np.ndarray:
         """(5 x n_slot) orthonormal projector for one CSSK hypothesis.
@@ -235,56 +215,17 @@ class TagDecoder:
         # the score is the energy explained BEYOND any offset/ramp.
         return q[:, 2:].T.copy()
 
-    def _scoring_cache(self, fs: float) -> dict:
-        """Vectorized hypothesis bank for sample rate ``fs``.
+    def _scoring_cache(self, fs: float) -> "MappingProxyType":
+        """This decoder's hypothesis bank at sample rate ``fs``.
 
-        Builds an (H x 3 x N_slot) stack of gated-model projectors so one
-        tensor product scores every hypothesis — the simulator-side
-        stand-in for the MCU's per-candidate Goertzel evaluations plus an
-        envelope-duration check — together with the data-hypothesis views
-        :meth:`decode_aligned_batch` reads.  The bank is rebuilt whenever
-        one of its inputs changes: ``fs``, ``window_fraction``,
-        ``clock_offset_ppm`` or the alphabet.
+        Read from the process-wide :func:`_hypothesis_bank` under the key
+        ``(fs, window_fraction, clock_offset_ppm, alphabet)``, so every
+        decoder with equal settings shares one bank, and changing one of
+        those inputs on a decoder reaches its next score.
         """
-        key = (fs, self.window_fraction, self.clock_offset_ppm, self.alphabet)
-        cache = getattr(self, "_score_cache", None)
-        if cache is not None and cache["key"] == key:
-            return cache
-        table = self._hypothesis_table(fs)
-        n_slot = max(int(round(self.alphabet.chirp_period_s * fs)), 4)
-        projectors = np.zeros((len(table), 3, n_slot))
-        for row, (_, _, beat, n_on) in enumerate(table):
-            projectors[row] = _cached_slot_projector(
-                float(beat), int(min(n_on, n_slot)), int(n_slot), float(fs)
-            )
-        data_rows = np.array([row for row, entry in enumerate(table) if entry[0] == "data"])
-        data_projectors = projectors[data_rows]
-        cache = {
-            "key": key,
-            "table": table,
-            "projectors": projectors,
-            "n_slot": n_slot,
-            # The exact kernel scores each hypothesis slice on its own, so
-            # scoring only the data rows gives the same bits as scoring
-            # every row and slicing.
-            "data_projectors": data_projectors,
-            # (n_slot, 3 * H_data): column j * H_data + h is data hypothesis
-            # h's j-th projector row, so ``windows @ data_pflat`` scores
-            # every window in one GEMM, one contiguous block per rank.
-            "data_pflat": np.ascontiguousarray(
-                data_projectors.transpose(1, 0, 2).reshape(-1, n_slot).T
-            ),
-            "data_symbols": np.array([table[row][1] for row in data_rows], dtype=int),
-            "data_beats": np.array([table[row][2] for row in data_rows]),
-            "bits_table": np.stack(
-                [
-                    self.alphabet.bits_for_symbol(s)
-                    for s in range(self.alphabet.num_data_symbols)
-                ]
-            ),
-        }
-        self._score_cache = cache
-        return cache
+        return _hypothesis_bank(
+            float(fs), self.window_fraction, self.clock_offset_ppm, self.alphabet
+        )
 
     def score_slot(
         self, slot_samples: np.ndarray, fs: float
@@ -296,12 +237,12 @@ class TagDecoder:
         slot (see :meth:`_slot_projector`).  All hypotheses span the same
         slot with the same model dimension, so scores compare directly.
         """
-        scores = self.score_slots(np.asarray(slot_samples, dtype=float)[None], fs)[0]
+        cache = self._scoring_cache(fs)
+        windows = self._window_matrix(np.asarray(slot_samples, dtype=float)[None], cache["n_slot"])
+        scores = self._score_windows(windows, cache["projectors"])[0]
         return [
             (kind, symbol, beat, score)
-            for (kind, symbol, beat, _), score in zip(
-                self._scoring_cache(fs)["table"], scores.tolist()
-            )
+            for (kind, symbol, beat, _), score in zip(cache["table"], scores.tolist())
         ]
 
     def classify_slot(self, slot_samples: np.ndarray, fs: float) -> tuple[str, int | None, float]:
@@ -754,6 +695,72 @@ def _cached_slot_projector(
     work.  Callers copy rows into their own stacks; the cached array is
     frozen read-only as a guard.
     """
-    projector = TagDecoder._slot_projector(beat_hz, n_on, n_slot, fs)
-    projector.setflags(write=False)
-    return projector
+    return _frozen(TagDecoder._slot_projector(beat_hz, n_on, n_slot, fs))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=8)
+def _hypothesis_bank(
+    fs: float, window_fraction: float, clock_offset_ppm: float, alphabet: CsskAlphabet
+) -> MappingProxyType:
+    """Vectorized hypothesis bank, built once per process and key.
+
+    An (H x 3 x N_slot) stack of gated-model projectors so one tensor
+    product scores every hypothesis — the simulator-side stand-in for the
+    MCU's per-candidate Goertzel evaluations plus an envelope-duration
+    check — together with the data-hypothesis views
+    :meth:`TagDecoder.decode_aligned_batch` reads.  The bank is a pure
+    function of its key, so decoders rebuilt chunk after chunk and point
+    after point share it; the mapping and its arrays are read-only.
+
+    ``table`` holds (kind, symbol, beat_hz, window_samples) for every
+    hypothesis.  A drifted tag clock (``clock_offset_ppm``) makes the ADC
+    run fast or slow, so a true tone at ``f`` lands at ``f / (1 + delta)``
+    on the tag's sample grid — the whole bank skews by that factor.  With
+    zero offset the skew is exactly 1.0 and the table is unchanged.
+    """
+    skew = 1.0 / (1.0 + clock_offset_ppm * 1e-6)
+    table = (
+        ("header", None, alphabet.header_beat_hz * skew,
+         max(int(round(window_fraction * alphabet.header_duration_s * fs)), 4)),
+        ("sync", None, alphabet.sync_beat_hz * skew,
+         max(int(round(window_fraction * alphabet.sync_duration_s * fs)), 4)),
+    ) + tuple(
+        ("data", symbol, beat * skew,
+         max(int(round(window_fraction * alphabet.data_symbol_duration_s(symbol) * fs)), 4))
+        for symbol, beat in enumerate(alphabet.data_beats_hz)
+    )
+    n_slot = max(int(round(alphabet.chirp_period_s * fs)), 4)
+    projectors = np.zeros((len(table), 3, n_slot))
+    for row, (_, _, beat, n_on) in enumerate(table):
+        projectors[row] = _cached_slot_projector(
+            float(beat), int(min(n_on, n_slot)), int(n_slot), float(fs)
+        )
+    data_rows = np.array([row for row, entry in enumerate(table) if entry[0] == "data"])
+    data_projectors = projectors[data_rows]
+    return MappingProxyType({
+        "table": table,
+        "projectors": _frozen(projectors),
+        "n_slot": n_slot,
+        # The exact kernel scores each hypothesis slice on its own, so
+        # scoring only the data rows gives the same bits as scoring
+        # every row and slicing.
+        "data_projectors": _frozen(data_projectors),
+        # (n_slot, 3 * H_data): column j * H_data + h is data hypothesis
+        # h's j-th projector row, so ``windows @ data_pflat`` scores
+        # every window in one GEMM, one contiguous block per rank.
+        "data_pflat": _frozen(np.ascontiguousarray(
+            data_projectors.transpose(1, 0, 2).reshape(-1, n_slot).T
+        )),
+        "data_symbols": _frozen(
+            np.array([table[row][1] for row in data_rows], dtype=int)
+        ),
+        "data_beats": _frozen(np.array([table[row][2] for row in data_rows])),
+        "bits_table": _frozen(np.stack(
+            [alphabet.bits_for_symbol(s) for s in range(alphabet.num_data_symbols)]
+        )),
+    })

@@ -156,6 +156,27 @@ class TestFaultRecovery:
         assert report.pool_rebuilds >= 1
         assert flag.exists()
 
+    def test_pool_broken_before_submit_rebuilds_bit_exact(self, monkeypatch):
+        # A worker can die (under an earlier chunk) while the runner is
+        # still queueing chunks, so ``submit`` itself raises: the chunk
+        # must take the rebuild path, not escape ``map_trials``.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
+        broken = ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        )
+        with pytest.raises(BrokenProcessPool):
+            broken.submit(os._exit, 1).result(timeout=60.0)
+        monkeypatch.setattr(executor, "_lease_pool", lambda key: broken)
+        values, report = map_trials(
+            _echo_chunk, None, 8, rng=9, plan=ExecutionPlan(workers=2, chunk_size=2)
+        )
+        assert values == serial
+        assert report.pool_rebuilds == 1
+
     def test_retry_exhaustion_raises_with_failing_indices(self):
         with pytest.raises(ExecutorError) as excinfo:
             map_trials(

@@ -2,9 +2,9 @@
 
 Everything here runs against a throwaway cache directory — no server, no
 sockets.  The contracts pinned: write-ahead records are atomic and
-re-readable, completion marking is idempotent and tolerant, unknown
-schema versions are rejected loudly, and orphan detection keys strictly
-on the recording pid being dead.
+re-readable, finishing is idempotent, unknown schema versions are
+rejected loudly, and orphan detection keys strictly on the recording pid
+being dead.
 """
 
 import json
@@ -90,20 +90,6 @@ class TestJobJournal:
         assert on_disk.pid == os.getpid()
         assert on_disk.state == "running"
         assert on_disk.remaining() == (0, 1)
-
-    def test_mark_complete_accumulates_and_is_idempotent(self, tmp_path):
-        journal = make_journal(tmp_path)
-        record = journal.record(
-            kind="ber", job=JOB, fingerprints=["f1", "f2", "f3"]
-        )
-        journal.mark_complete(record.journal_id, 2)
-        journal.mark_complete(record.journal_id, 0)
-        journal.mark_complete(record.journal_id, 2)  # repeat: no-op
-        assert journal.get(record.journal_id).remaining() == (1,)
-
-    def test_mark_complete_tolerates_missing_record(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.mark_complete("never-existed", 0)  # must not raise
 
     def test_finish_removes_the_record(self, tmp_path):
         journal = make_journal(tmp_path)

@@ -2,18 +2,23 @@
 
 The scheduler half runs on synthetic point specs with a real
 :class:`JobJournal` in a tmp dir, pinning the write-ahead discipline
-(record before compute, per-point completion marks, removal at done /
-cancel).  The server half stands up a real :class:`ServerThread` over a
-pre-seeded journal and pins the ``--resume`` replay contract: incomplete
-jobs resubmit, completed points are never re-scheduled, records whose
-fingerprints drifted are dropped loudly, and the journal ends empty.
+(one record write before compute, nothing written on delivery, removal
+at done / cancel).  The server half stands up a real
+:class:`ServerThread` over a pre-seeded journal and pins the ``--resume``
+replay contract: incomplete jobs resubmit, points delivered before the
+crash come back as store hits, points an earlier build's record marks
+completed are never re-scheduled, records whose fingerprints drifted are
+dropped loudly, and the journal ends empty.
 """
 
 import asyncio
+import dataclasses
+import json
 import threading
 import time
 
-from repro.serve.journal import JobJournal, JournalRecord
+import repro.store.cache as store_cache
+from repro.serve.journal import JobJournal
 from repro.serve.protocol import ParsedJob, parse_job
 from repro.serve.scheduler import JobScheduler
 from repro.serve.server import ServeConfig, ServerThread
@@ -88,7 +93,16 @@ class TestSchedulerJournaling:
 
         asyncio.run(scenario())
 
-    def test_points_marked_complete_as_delivered(self, tmp_path):
+    def test_journaled_job_makes_one_durable_write(self, tmp_path, monkeypatch):
+        writes = []
+        atomic_write = store_cache.atomic_write_bytes
+
+        def counting_write(path, data):
+            writes.append(path)
+            atomic_write(path, data)
+
+        monkeypatch.setattr(store_cache, "atomic_write_bytes", counting_write)
+
         async def scenario():
             journal = JobJournal(tmp_path)
             gate = threading.Event()
@@ -96,21 +110,24 @@ class TestSchedulerJournaling:
                 pool_workers=1, max_pending=8, journal=journal
             )
             session = FakeSession()
-            # First point free, second gated: after the first delivers,
-            # the record must show exactly index 0 complete.
+            # First point free, second gated: delivering the first must
+            # leave the write-ahead record exactly as admission wrote it.
             _, job = scheduler.submit(
                 session, "j1",
                 job_of(FakeSpec("fast"), FakeSpec("slow", gate=gate)),
                 raw_job={"kind": "fake"},
             )
-            await eventually(
-                lambda: (journal.get(job.journal_id) or
-                         JournalRecord("x", "k", {}, ())).completed == (0,)
-            )
-            assert journal.get(job.journal_id).remaining() == (1,)
+            path = journal.root / f"{job.journal_id}.json"
+            admitted = path.read_bytes()
+            await eventually(lambda: any(
+                message["type"] == "point" for message in session.messages
+            ))
+            assert path.read_bytes() == admitted
             gate.set()
             await eventually(lambda: scheduler._pending == 0)
+            await eventually(lambda: not path.exists())
             await scheduler.close()
+            assert writes == [path]
 
         asyncio.run(scenario())
 
@@ -181,8 +198,13 @@ class TestServerResume:
         record = journal.record(
             kind=parsed.kind, job=job, fingerprints=fingerprints,
         )
-        for index in completed:
-            journal.mark_complete(record.journal_id, index)
+        if completed:
+            # Completion marks as a record written by an earlier build
+            # carries them.
+            record = dataclasses.replace(record, completed=tuple(completed))
+            (journal.root / f"{record.journal_id}.json").write_text(
+                json.dumps(record.encode())
+            )
         return journal, record, parsed, fingerprints
 
     def test_resume_replays_incomplete_job_into_store(self, tmp_path):
@@ -201,13 +223,35 @@ class TestServerResume:
             for fingerprint in fingerprints:
                 assert store.contains(fingerprint)
 
+    def test_resume_serves_delivered_point_from_store(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        # Point 0 was delivered, so its result landed in the store, before
+        # the "crash"; the record is as admission wrote it.
+        parsed = parse_job(SWEEP_JOB)
+        parsed.points[0].compute(ExecutionPlan(), ExperimentStore(cache_dir))
+        journal, record, _parsed, fingerprints = self._seed_journal(
+            cache_dir, SWEEP_JOB
+        )
+        assert record.completed == ()
+        with ServerThread(ServeConfig(
+            pool_workers=1, cache_dir=cache_dir, resume=True,
+        )) as handle:
+            wait_for(lambda: journal.get(record.journal_id) is None)
+            server = handle.server
+            assert server.scheduler.counters["points_submitted"] == 2
+            # Point 0 is a store hit; only point 1 computes.
+            assert server.store.session_misses == 1
+            assert server.store.session_hits == 1
+            for fingerprint in fingerprints:
+                assert server.store.contains(fingerprint)
+
     def test_resume_skips_completed_points(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         # Point 0 landed in the store before the "crash"...
         parsed = parse_job(SWEEP_JOB)
         store = ExperimentStore(cache_dir)
         parsed.points[0].compute(ExecutionPlan(), store)
-        # ...and the journal knows it was delivered.
+        # ...and a record from an earlier build marks it delivered.
         journal, record, _parsed, fingerprints = self._seed_journal(
             cache_dir, SWEEP_JOB, completed=(0,)
         )

@@ -1,5 +1,9 @@
 """Tag frontends and decoder DSP: period estimation, sync, demodulation."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,8 @@ from repro.core.downlink import DownlinkEncoder
 from repro.core.packet import DownlinkPacket, PacketFields
 from repro.errors import SimulationError, SyncError
 from repro.radar.config import XBAND_9GHZ
-from repro.tag.decoder_dsp import TagDecoder
+from repro.sim.engine import _downlink_layout
+from repro.tag.decoder_dsp import TagDecoder, _hypothesis_bank
 from repro.tag.frontend import AnalyticTagFrontend, TagCapture
 from repro.core.ber import bit_error_rate
 
@@ -133,9 +138,9 @@ class TestScoring:
     def test_settings_changed_after_a_decode_reach_the_scores(
         self, link, alphabet, small_alphabet, setting
     ):
-        # The hypothesis bank is cached per decoder; changing any of its
-        # inputs after the first decode must rebuild it, so the mutated
-        # decoder agrees with one built with the new settings.
+        # The hypothesis bank is shared per settings key; changing any of
+        # its inputs after the first decode must reach another bank, so
+        # the mutated decoder agrees with one built with the new settings.
         setting = {
             name: small_alphabet if value == "small" else value
             for name, value in setting.items()
@@ -144,8 +149,10 @@ class TestScoring:
         fs = capture.sample_rate_hz
         decoder = TagDecoder(alphabet)
         decoder.decode_aligned(capture, num_payload_symbols=4)
+        before = decoder._scoring_cache(fs)
         for name, value in setting.items():
             setattr(decoder, name, value)
+        assert decoder._scoring_cache(fs) is not before
         fresh = TagDecoder(setting.pop("alphabet", alphabet), **setting)
         got = decoder.decode_aligned(capture, num_payload_symbols=4)
         want = fresh.decode_aligned(capture, num_payload_symbols=4)
@@ -154,6 +161,82 @@ class TestScoring:
         assert np.array_equal(got.bits, want.bits)
         slot = capture.slot_samples(PacketFields().preamble_length)
         assert decoder.score_slot(slot, fs) == fresh.score_slot(slot, fs)
+
+
+class TestSharedTables:
+    """The point-invariant downlink tables are built once per process."""
+
+    def test_equal_settings_share_one_bank(self, alphabet):
+        twin = dataclasses.replace(alphabet)
+        assert twin is not alphabet
+        bank = TagDecoder(alphabet, window_fraction=0.9)._scoring_cache(1e6)
+        assert TagDecoder(twin, window_fraction=0.9)._scoring_cache(1e6) is bank
+
+    def test_sample_rate_alone_changes_the_bank(self, alphabet):
+        decoder = TagDecoder(alphabet)
+        assert decoder._scoring_cache(2e6) is not decoder._scoring_cache(1e6)
+        assert decoder._scoring_cache(2e6)["n_slot"] == 240
+
+    def test_equal_configs_share_one_layout(self, alphabet):
+        fields = PacketFields()
+        layout = _downlink_layout(alphabet, fields, 16)
+        assert _downlink_layout(dataclasses.replace(alphabet), PacketFields(), 16) is layout
+        assert _downlink_layout(alphabet, fields, 8) is not layout
+        assert _downlink_layout(alphabet, PacketFields(header_repeats=4), 16) is not layout
+
+    def test_cached_arrays_are_read_only(self, alphabet):
+        bank = TagDecoder(alphabet)._scoring_cache(1e6)
+        layout = _downlink_layout(alphabet, PacketFields(), 16)
+        arrays = [value for value in bank.values() if isinstance(value, np.ndarray)]
+        arrays += [
+            value for value in vars(layout).values() if isinstance(value, np.ndarray)
+        ]
+        assert len(arrays) == 11
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+        with pytest.raises(TypeError):
+            bank["n_slot"] = 1
+
+    def test_threads_building_a_cold_bank_match_a_serial_decode(self, link, alphabet):
+        captures = [
+            make_capture(link, alphabet, [3, 17, 29, 8], rng=seed, snr=5.0)[1]
+            for seed in range(4)
+        ]
+        serial = TagDecoder(alphabet).decode_aligned_batch(
+            captures, num_payload_symbols=4
+        )
+        # More threads than a CI runner's cores, switching often, all
+        # racing to build the same bank from a cold cache.
+        _hypothesis_bank.cache_clear()
+        num_threads = 8
+        barrier = threading.Barrier(num_threads, timeout=30.0)
+        results = [None] * num_threads
+
+        def decode(slot):
+            barrier.wait()
+            results[slot] = TagDecoder(alphabet).decode_aligned_batch(
+                captures, num_payload_symbols=4
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=decode, args=(slot,)) for slot in range(num_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for packets in results:
+            for got, want in zip(packets, serial, strict=True):
+                assert got.symbols == want.symbols
+                assert np.array_equal(got.measured_beats_hz, want.measured_beats_hz)
+                assert np.array_equal(got.bits, want.bits)
 
 
 class TestPeriodEstimation:
