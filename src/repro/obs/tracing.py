@@ -1,7 +1,9 @@
 """Lightweight spans exported as Chrome ``trace_event`` JSON.
 
-``with span("pool.chunk", chunk=3):`` measures a region and appends one
-complete (``ph: "X"``) trace event to the run's trace file; spans nest
+``with span("pool.chunk", chunk=3):`` measures a region, observes its
+duration into the ``pool.chunk.seconds`` histogram whenever telemetry
+is on, and, when tracing is on, appends one complete (``ph: "X"``)
+trace event to the run's trace file; spans nest
 naturally — Chrome/Perfetto reconstruct the hierarchy from the ``ts`` /
 ``dur`` overlap per (pid, tid) track, so worker-process spans land on
 their own tracks automatically.  :func:`instant` marks point events
@@ -31,7 +33,7 @@ import threading
 import time
 from typing import Any
 
-from repro.obs import runtime
+from repro.obs import metrics, runtime
 
 #: Open append-mode descriptor for the current trace file (lazy).
 _trace_fd: "tuple[str, int] | None" = None
@@ -115,7 +117,12 @@ def _write_event(event: "dict[str, Any]") -> None:
 
 
 class _Span:
-    """One active span; records an ``X`` event when the block exits."""
+    """One active span, live whenever telemetry is enabled.
+
+    On exit it observes its duration into the ``<name>.seconds``
+    histogram (so ``--profile`` lists per-stage time without a trace
+    dir) and, when tracing is on, appends one ``X`` event.
+    """
 
     __slots__ = ("name", "args", "_wall_us", "_start")
 
@@ -131,7 +138,11 @@ class _Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        duration_us = (time.perf_counter() - self._start) * 1e6
+        duration_s = time.perf_counter() - self._start
+        metrics.observe(self.name + ".seconds", duration_s)
+        if runtime.trace_dir() is None:
+            return
+        duration_us = duration_s * 1e6
         args = dict(self.args)
         if exc_type is not None:
             args["error"] = exc_type.__name__
@@ -164,8 +175,8 @@ _NULL_SPAN = _NullSpan()
 
 
 def span(name: str, **args: Any):
-    """A context manager timing one region (no-op unless tracing is on)."""
-    if not runtime._enabled or runtime.trace_dir() is None:
+    """A context manager timing one region (no-op unless telemetry is on)."""
+    if not runtime._enabled:
         return _NULL_SPAN
     return _Span(name, args)
 

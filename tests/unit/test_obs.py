@@ -346,10 +346,30 @@ class TestSnapshotAlgebra:
 
 
 class TestTracing:
-    def test_span_noop_without_trace_dir(self):
+    def test_span_noop_without_trace_dir(self, obs_off, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         enable()
         with obs.span("unit.block", x=1):
-            pass  # no trace dir -> shared null span, nothing written
+            pass  # no trace dir -> no trace file anywhere
+        assert obs.trace_path() is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_span_observes_stage_seconds_without_trace_dir(self):
+        enable()
+        for _ in range(3):
+            with obs.span("unit.stage"):
+                pass
+        hist = obs.snapshot()["histograms"]["unit.stage.seconds"]
+        assert hist["count"] == 3
+        assert hist["edges"] == list(obs.DEFAULT_SECONDS_BUCKETS)
+        assert hist["min"] >= 0.0
+
+    def test_failed_span_still_observes_its_duration(self):
+        enable()
+        with pytest.raises(RuntimeError):
+            with obs.span("unit.fail"):
+                raise RuntimeError("boom")
+        assert obs.snapshot()["histograms"]["unit.fail.seconds"]["count"] == 1
 
     def test_span_writes_complete_event(self, tmp_path):
         enable(trace_dir=str(tmp_path))
