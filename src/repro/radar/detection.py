@@ -105,7 +105,7 @@ def detect_modulated_tag(
         )
     if background is not None:
         matrix = matrix - np.asarray(background)[None, :]
-    freqs, spectrum = slow_time_spectrum(matrix, chirp_period_s, remove_dc=True)
+    freqs, magnitudes = slow_time_spectrum(matrix, chirp_period_s, remove_dc=True)
     nyquist = 1.0 / (2.0 * chirp_period_s)
     rates = (
         [float(modulation_rate_hz)]
@@ -135,7 +135,6 @@ def detect_modulated_tag(
     norm = np.linalg.norm(template)
     if norm > 0:
         template = template / norm
-    magnitudes = np.abs(spectrum)
     # Normalize each cell's template response by that cell's own
     # off-template spectral floor (a Doppler-domain CFAR).  A clutter cell
     # whose slow-time residue is broadband raises its own floor and scores
@@ -187,7 +186,7 @@ def detect_modulated_tag(
         refined_range = ranges[best] + delta * bin_width
     snr_db = max(
         _cell_tone_snr_db(
-            spectrum[:, best],
+            magnitudes[:, best],
             freqs,
             rate,
             num_harmonics=num_harmonics,

@@ -149,12 +149,14 @@ class _PointSpec:
 
         return fingerprint(*point_work_unit(*self._workload_point(), self.adaptive))
 
-    def compute(self, execution, store) -> "dict[str, Any]":
+    def compute(self, execution, store, fingerprint=None) -> "dict[str, Any]":
+        """The point's wire result; ``fingerprint`` is its admission fingerprint."""
         from repro.sim.engine import run_point
 
         workload, point = self._workload_point()
         return self._wire(run_point(
-            workload, point, adaptive=self.adaptive, execution=execution, store=store
+            workload, point, adaptive=self.adaptive, execution=execution,
+            store=store, fingerprint=fingerprint,
         ))
 
 

@@ -334,7 +334,8 @@ class JobScheduler:
         error: "Exception | None" = None
         try:
             payload = await self._loop.run_in_executor(
-                self._pool, task.spec.compute, self._plan_for(task), store
+                self._pool, task.spec.compute, self._plan_for(task), store,
+                task.fingerprint,
             )
         except Exception as compute_error:
             error = compute_error

@@ -24,9 +24,13 @@ Layer by layer:
   ``decode_aligned_batch`` / ``decode_aligned`` vs the per-slot decode
   loop, and the batched decode's certified GEMM argmax vs the exact
   kernel's argmax on windows bisected to a tie;
+* block decode and chunk counting: ``decode_aligned_block`` on
+  full, cut-short and short-last-slot blocks from slot 0, the preamble
+  end and past it vs the per-slot decode loop, and the chunk's one-step
+  bit-error count vs a per-trial ``ErrorCounter`` (missing tails count);
 * Monte-Carlo engine: ``_downlink_chunk`` vs the per-frame reference
   chunk over SNR pins, clutter, impairment severities and full sync,
-  with and without impairments.
+  with and without impairments, batches of one included.
 
 The decoder and engine references live in ``downlink_oracle.py`` beside
 this file; the library keeps only the batched forms.
@@ -44,14 +48,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.channel.multipath import Clutter
-from repro.core.ber import random_bits
+from repro.core.ber import ErrorCounter, random_bits
 from repro.core.cssk import CsskAlphabet, DecoderDesign
 from repro.core.downlink import DownlinkEncoder
 from repro.core.packet import DownlinkPacket
 from repro.errors import ConfigurationError, SimulationError
 from repro.impair.spec import ImpairmentSpec
 from repro.radar.config import XBAND_9GHZ
-from repro.sim.engine import DownlinkTrialConfig, _downlink_chunk
+from repro.sim.engine import DownlinkTrialConfig, _chunk_bit_errors, _downlink_chunk
 from repro.tag.decoder_dsp import TagDecoder
 from repro.tag.frontend import AnalyticTagFrontend, TagCapture
 from repro.utils.dsp import (
@@ -678,6 +682,121 @@ class TestDecoderBatching:
             decoder.decode_aligned_batch([a, c], num_payload_symbols=4)
 
 
+def _truncated_block(config, *, count, seed, snr_override_db, cut, start_slot):
+    """``(captures, block, payload_block, fs)`` of ``count`` frames, cut short.
+
+    ``cut`` keeps the whole frame (``"full"``), stops it on the slot
+    boundary nine slots past ``start_slot`` (``"mid_payload"``: fewer
+    decoded blocks than payload symbols), or a third of a slot after that
+    boundary (``"short_last_slot"``: one zero-padded last window).
+    """
+    frames, payloads = _encoded_frames(config, count, seed=seed)
+    frontend = AnalyticTagFrontend(
+        budget=config.resolved_budget(),
+        delta_t_s=config.alphabet.decoder.delta_t_s,
+    )
+    spec = SeedSpec.from_rng(seed + 1)
+    captures = frontend.capture_batch(
+        frames,
+        config.distance_m,
+        rngs=[spec.stream(i) for i in range(count)],
+        snr_override_db=snr_override_db,
+    )
+    fs = captures[0].sample_rate_hz
+    n_slot = int(round(config.alphabet.chirp_period_s * fs))
+    keep = {
+        "full": captures[0].samples.size,
+        "mid_payload": (start_slot + 9) * n_slot,
+        "short_last_slot": (start_slot + 9) * n_slot + n_slot // 3,
+    }[cut]
+    captures = [
+        TagCapture(samples=capture.samples[:keep], sample_rate_hz=fs)
+        for capture in captures
+    ]
+    block = np.stack([capture.samples for capture in captures])
+    return captures, block, np.stack(payloads), fs
+
+
+class TestBlockDecodeAndChunkCounting:
+    """The engine's block decode and per-chunk bit-error count."""
+
+    PAYLOAD = 16
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("start", ["zero", "preamble", "past_preamble"])
+    @pytest.mark.parametrize("cut", ["full", "mid_payload", "short_last_slot"])
+    def test_block_kernel_matches_per_slot_oracle(self, batch, start, cut):
+        config = _trial_config(5, payload_symbols_per_frame=self.PAYLOAD)
+        preamble = config.fields.preamble_length
+        start_slot = {"zero": 0, "preamble": preamble, "past_preamble": preamble + 3}[start]
+        captures, block, _, fs = _truncated_block(
+            config, count=batch, seed=11, snr_override_db=4.0, cut=cut,
+            start_slot=start_slot,
+        )
+        decoder = TagDecoder(config.alphabet, fields=config.fields)
+        symbols, beats = decoder.decode_aligned_block(
+            block, fs, num_payload_symbols=self.PAYLOAD, start_slot=start_slot
+        )
+        expected_blocks = {"full": None, "mid_payload": 9, "short_last_slot": 10}[cut]
+        if expected_blocks is not None:
+            assert symbols.shape == (expected_blocks, batch)
+        for b, capture in enumerate(captures):
+            reference = reference_decode_aligned(
+                decoder, capture, num_payload_symbols=self.PAYLOAD,
+                skip_slots=start_slot,
+            )
+            assert symbols[:, b].tolist() == reference.symbols
+            assert np.array_equal(beats[:, b], reference.measured_beats_hz)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("cut", ["full", "mid_payload", "short_last_slot"])
+    def test_chunk_count_matches_per_trial_error_counters(self, batch, cut):
+        # Low SNR so decisions go wrong; cut captures leave a missing
+        # tail that must count as errors.
+        config = _trial_config(5, payload_symbols_per_frame=self.PAYLOAD)
+        start_slot = config.fields.preamble_length
+        captures, block, payload_block, fs = _truncated_block(
+            config, count=batch, seed=5, snr_override_db=-2.0, cut=cut,
+            start_slot=start_slot,
+        )
+        decoder = TagDecoder(config.alphabet, fields=config.fields)
+        symbols, _ = decoder.decode_aligned_block(
+            block, fs, num_payload_symbols=self.PAYLOAD, start_slot=start_slot
+        )
+        bits_table = decoder._scoring_cache(fs)["bits_table"]
+        got = _chunk_bit_errors(payload_block, bits_table[symbols.T])
+        want = []
+        for payload, capture in zip(payload_block, captures):
+            reference = reference_decode_aligned(
+                decoder, capture, num_payload_symbols=self.PAYLOAD
+            )
+            counter = ErrorCounter()
+            counter.update(payload, reference.bits)
+            want.append((counter.bit_errors, counter.bits_total, 0))
+        assert got == want
+        assert all(type(value) is int for result in got for value in result)
+        assert sum(result[0] for result in got) > 0
+
+    def test_block_kernel_rejects_bad_blocks(self):
+        decoder = TagDecoder(ALPHABETS[5])
+        with pytest.raises(ValueError, match="block"):
+            decoder.decode_aligned_block(
+                np.zeros(4096), 1e6, num_payload_symbols=4, start_slot=0
+            )
+        with pytest.raises(ValueError, match="block"):
+            decoder.decode_aligned_block(
+                np.zeros((0, 4096)), 1e6, num_payload_symbols=4, start_slot=0
+            )
+        with pytest.raises(ValueError, match="start_slot"):
+            decoder.decode_aligned_block(
+                np.zeros((2, 4096)), 1e6, num_payload_symbols=4, start_slot=-1
+            )
+        with pytest.raises(ValueError, match="num_payload_symbols"):
+            decoder.decode_aligned_block(
+                np.zeros((2, 4096)), 1e6, num_payload_symbols=0, start_slot=0
+            )
+
+
 ENGINE_VARIANTS = {
     "plain": {},
     "near": {"distance_m": 3.0},
@@ -715,6 +834,22 @@ class TestEngineChunkEquivalence:
         assert _downlink_chunk(config, spec, indices) == reference_downlink_chunk(
             config, spec, indices
         )
+
+    @pytest.mark.parametrize("impaired", [False, True])
+    @pytest.mark.parametrize("indices", [[5], list(range(6))])
+    def test_low_snr_chunk_counts_match_reference(self, impaired, indices):
+        # Both genie routes (block synthesis, and stacked per-frame
+        # impaired captures), a batch of one included, at an SNR where
+        # bits go wrong, so the chunk-level count is exercised.
+        overrides = {"snr_override_db": -2.0}
+        if impaired:
+            overrides["impairments"] = ImpairmentSpec.parse("interference:0.5,impulse:0.5")
+        config = _trial_config(5, num_frames=8, **overrides)
+        spec = SeedSpec.from_rng(2)
+        results = _downlink_chunk(config, spec, indices)
+        assert results == reference_downlink_chunk(config, spec, indices)
+        assert all(type(value) is int for result in results for value in result)
+        assert sum(result[0] for result in results) > 0
 
     def test_mid_run_chunk_matches_reference(self):
         # A chunk that does not start at trial 0 (mid-run dispatch shape).

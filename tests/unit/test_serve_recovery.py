@@ -36,7 +36,7 @@ class FakeSpec:
     def fingerprint(self):
         return f"fp-{self.name}"
 
-    def compute(self, execution, store):
+    def compute(self, execution, store, fingerprint=None):
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0), "test gate never released"
         return {"name": self.name}

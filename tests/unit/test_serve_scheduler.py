@@ -2,22 +2,27 @@
 
 These drive :class:`repro.serve.scheduler.JobScheduler` directly on a
 private event loop with synthetic point specs (anything with ``kind``,
-``fingerprint()`` and ``compute(execution, store)`` schedules), so the
-dedup / backpressure / cancellation / drain contracts are pinned without
-TCP or real simulations.  Gated specs (a ``threading.Event`` the pool
+``fingerprint()`` and ``compute(execution, store, fingerprint)``
+schedules), so the dedup / backpressure / cancellation / drain
+contracts are pinned without TCP or real simulations.  Gated specs (a ``threading.Event`` the pool
 thread blocks on) make the interleavings deterministic: with one pool
 worker, everything submitted behind the gate is provably queued.
 """
 
 import asyncio
+import importlib
 import threading
 import time
 
 from test_faults import _gone, _stall_once_pid_chunk
 
-from repro.serve.protocol import ParsedJob
+from repro.serve.protocol import ParsedJob, parse_job
 from repro.serve.scheduler import JobScheduler
 from repro.sim.executor import ExecutionPlan, map_trials
+from repro.store import ExperimentStore
+
+# The package re-exports ``fingerprint`` over its submodule's name.
+store_fingerprint = importlib.import_module("repro.store.fingerprint")
 
 
 class FakeSpec:
@@ -36,7 +41,7 @@ class FakeSpec:
     def fingerprint(self):
         return f"fp-{self.name}"
 
-    def compute(self, execution, store):
+    def compute(self, execution, store, fingerprint=None):
         if self.calls is not None:
             self.calls.append(self.name)
         if self.gate is not None:
@@ -55,7 +60,7 @@ class StallingSpec(FakeSpec):
         super().__init__(name)
         self.payload = payload
 
-    def compute(self, execution, store):
+    def compute(self, execution, store, fingerprint=None):
         values, _report = map_trials(
             _stall_once_pid_chunk, self.payload, 2, rng=9, plan=execution
         )
@@ -449,6 +454,33 @@ class TestScheduler:
             await scheduler.close()
 
         asyncio.run(scenario())
+
+    def test_computed_point_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        # Admission fingerprints the point; compute reuses that key for
+        # the store probe and put instead of fingerprinting it again.
+        calls = []
+        real = store_fingerprint.fingerprint
+
+        def counting(kind, unit):
+            calls.append(kind)
+            return real(kind, unit)
+
+        monkeypatch.setattr(store_fingerprint, "fingerprint", counting)
+
+        async def scenario():
+            store = ExperimentStore(str(tmp_path / "cache"))
+            scheduler = JobScheduler(pool_workers=1, max_pending=8, store=store)
+            session = FakeSession()
+            parsed = parse_job({"kind": "ber", "frames": 4, "seed": 5})
+            scheduler.submit(session, "j1", parsed)
+            await settled(scheduler)
+            (point,) = session.of_type("point")
+            assert point["cached"] is False
+            assert store.contains(point["fingerprint"])
+            await scheduler.close()
+
+        asyncio.run(scenario())
+        assert calls == ["downlink-trials"]
 
     def test_status_shape(self):
         async def scenario():
