@@ -104,7 +104,6 @@ class RunRecorder:
                 "retries": 0,
                 "pool_rebuilds": 0,
                 "timeouts": 0,
-                "serial_recovered_chunks": 0,
             },
         }
         self._fault_events: "list[dict[str, Any]]" = []

@@ -195,7 +195,9 @@ def diff_snapshots(
 ) -> "dict[str, Any]":
     """What happened between two snapshots of the *same* registry.
 
-    Counters and histogram buckets subtract exactly.  Gauges keep the
+    Counters and histogram buckets subtract exactly.  A counter first
+    made inside the window is kept even at 0, so a pool worker's delta
+    names the same counters the serial path does.  Gauges keep the
     ``after`` value (a gauge is a level, not a flow).  A histogram's
     min/max cannot be un-merged, so the delta keeps the ``after``
     extremes — a superset bound, documented as such.
@@ -204,7 +206,7 @@ def diff_snapshots(
     before_counters = before.get("counters", {})
     for name, value in after.get("counters", {}).items():
         changed = value - before_counters.get(name, 0)
-        if changed:
+        if changed or name not in before_counters:
             delta["counters"][name] = changed
     delta["gauges"] = dict(after.get("gauges", {}))
     before_histograms = before.get("histograms", {})

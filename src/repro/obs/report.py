@@ -53,6 +53,16 @@ def _fmt_num(value: "float | int | None", digits: int = 4) -> str:
     return f"{value:.{digits}g}"
 
 
+def _nonzero_faults(manifest: "dict[str, Any]") -> "dict[str, Any]":
+    """The manifest's fault counters that are not zero.
+
+    Dropping zeros lets a manifest that still carries a retired slot
+    (``serial_recovered_chunks``) diff clean against a newer one.
+    """
+    faults = manifest.get("execution", {}).get("faults", {})
+    return {key: value for key, value in faults.items() if value}
+
+
 def _histogram_mean(data: "dict[str, Any]") -> "float | None":
     count = data.get("count", 0)
     if not count:
@@ -122,8 +132,7 @@ def render_run_report(manifest: "dict[str, Any]") -> str:
         "  faults: "
         f"{faults.get('retries', 0)} retries, "
         f"{faults.get('pool_rebuilds', 0)} pool rebuilds, "
-        f"{faults.get('timeouts', 0)} timeouts, "
-        f"{faults.get('serial_recovered_chunks', 0)} serial-recovered"
+        f"{faults.get('timeouts', 0)} timeouts"
     )
     events = manifest.get("fault_events", [])
     for event in events[:8]:
@@ -257,8 +266,7 @@ def diff_lines(a: "dict[str, Any]", b: "dict[str, Any]") -> "list[str]":
         f"misses {store_a.get('misses', 0)} -> {store_b.get('misses', 0)}, "
         f"puts {store_a.get('puts', 0)} -> {store_b.get('puts', 0)}"
     )
-    faults_a = a.get("execution", {}).get("faults", {})
-    faults_b = b.get("execution", {}).get("faults", {})
+    faults_a, faults_b = _nonzero_faults(a), _nonzero_faults(b)
     if faults_a != faults_b:
         lines.append(f"  faults: {faults_a} -> {faults_b}  [CHANGED]")
 

@@ -355,21 +355,21 @@ class JobScheduler:
     def _plan_for(self, task: PointTask) -> ExecutionPlan:
         """The shared plan, with a thread-safe progress bridge chained in.
 
-        The executor's parent-side ``on_chunk`` hook fires in the pool
+        The executor's parent-side ``progress`` hook fires in the pool
         thread; the bridge trampolines onto the loop so subscribers get
         ``progress`` frames while the point is still computing.
         """
         loop = self._loop
-        inner = self.execution.on_chunk
+        inner = self.execution.progress
 
-        def hook(timing, chunk_results):
+        def hook(timing):
             if inner is not None:
-                inner(timing, chunk_results)
+                inner(timing)
             loop.call_soon_threadsafe(
                 self._notify_progress, task, timing.num_trials
             )
 
-        return dataclasses.replace(self.execution, on_chunk=hook)
+        return dataclasses.replace(self.execution, progress=hook)
 
     def _notify_progress(self, task: PointTask, trials: int) -> None:
         for job, index in task.subscribers:

@@ -24,13 +24,13 @@ Trial ``i``'s generator is index-keyed off the root seed
 (``SeedSpec.stream(i)``) and per-trial results are reduced in trial
 order, so results are bit-identical for any worker count — the contract
 ``tests/unit/test_executor.py`` enforces.  The plan's fault knobs
-(``max_retries``, ``chunk_timeout_s``, ``on_failure``) apply unchanged:
-a worker crash mid-run is retried bit-identically, and only retry
-exhaustion surfaces as :class:`repro.errors.ExecutorError` with the
-failing trial indices.  The trial bodies live in module-level
-``_*_chunk`` functions so they can be pickled to worker processes; each
-chunk rebuilds its (deterministic) DSP objects once, amortising setup
-over the chunk's trials.  The downlink chunk has one implementation: it
+(``max_retries``, ``chunk_timeout_s``) apply unchanged: a worker crash
+mid-run is retried bit-identically, and only retry exhaustion surfaces
+as :class:`repro.errors.ExecutorError` with the failing trial indices.
+The trial bodies live in module-level ``_*_chunk`` functions so they
+can be pickled to worker processes; each chunk rebuilds its
+(deterministic) DSP objects once, amortising setup over the chunk's
+trials.  The downlink chunk has one implementation: it
 synthesizes and decodes its frames as stacked arrays.  The per-frame
 reference it must match bit for bit lives in the test suite.
 

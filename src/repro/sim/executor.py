@@ -37,13 +37,11 @@ three failure modes a pool can exhibit:
   killed to reclaim the stuck worker and the chunk retries under an
   exponentially backed-off deadline.
 
-When a chunk exhausts every retry, ``ExecutionPlan.on_failure`` picks the
-ending: ``"raise"`` (default) aborts with
-:class:`repro.errors.ExecutorError` naming the failed trial indices,
-``"serial"`` re-runs the leftovers in the parent process — the graceful
-degradation path for pools that keep breaking.  Every retry, rebuild,
-timeout, and serial recovery is counted on the :class:`ExecutionReport`
-(and thus lands in ``metadata["_execution"]["faults"]``).
+When a chunk exhausts every retry, the map aborts with
+:class:`repro.errors.ExecutorError` naming the failed trial indices.
+Every retry, rebuild and timeout is counted on the
+:class:`ExecutionReport` (and thus lands in
+``metadata["_execution"]["faults"]``).
 
 **Pool lifetime.**  Starting a pool costs tens of milliseconds, more than
 a small sweep's whole trial map, so a map *leases* its pool instead of
@@ -105,7 +103,7 @@ POOL_IDLE_RETIRE_S = 1.0
 
 
 def default_start_method() -> str:
-    """The start method used when neither the plan nor the env names one.
+    """The start method used when :data:`START_METHOD_ENV` names none.
 
     ``fork`` is fast but deprecated in multi-threaded parents on Python
     3.12+ (and no longer the Linux default on 3.14), so the default is the
@@ -164,9 +162,9 @@ class ExecutionReport:
     """How a trial map actually ran: backend, chunking, timing, faults.
 
     The fault counters record *recovered* trouble — retries that
-    succeeded, pools that were rebuilt, chunks salvaged by the serial
-    degradation path.  Unrecoverable failures never produce a report;
-    they raise :class:`repro.errors.ExecutorError` instead.
+    succeeded, pools that were rebuilt.  Unrecoverable failures never
+    produce a report; they raise :class:`repro.errors.ExecutorError`
+    instead.
     """
 
     backend: str
@@ -178,7 +176,6 @@ class ExecutionReport:
     retries: int = 0
     pool_rebuilds: int = 0
     timeouts: int = 0
-    serial_recovered_chunks: int = 0
     fault_events: "list[dict[str, Any]]" = field(default_factory=list)
 
     def as_metadata(self) -> "dict[str, Any]":
@@ -194,7 +191,6 @@ class ExecutionReport:
                 "retries": self.retries,
                 "pool_rebuilds": self.pool_rebuilds,
                 "timeouts": self.timeouts,
-                "serial_recovered_chunks": self.serial_recovered_chunks,
                 "events": [dict(event) for event in self.fault_events],
             },
         }
@@ -210,26 +206,17 @@ class ExecutionPlan:
     ``ProcessPoolExecutor``, leased warm from the previous map with the
     same worker count, start method and observability configuration
     when one is parked (see the module docstring); results are
-    bit-identical either way.
+    bit-identical either way.  The start method comes from
+    :data:`START_METHOD_ENV`, else :func:`default_start_method`.
 
     ``chunk_size`` balances scheduling granularity against dispatch
     overhead; ``None`` picks ``ceil(n / (4 * workers))`` so each worker
     sees ~4 chunks for decent load balancing.  ``progress`` is called in
     the parent process once per finished chunk with a
-    :class:`ChunkTiming` (completion order, not index order).
-
-    ``on_chunk`` is the incremental-results sibling of ``progress``: it
-    is called in the parent process once per finished chunk with
-    ``(timing, chunk_results)``, where ``chunk_results`` is that chunk's
-    slice of the eventual result list (trials ``timing.start_index ..
-    start_index + num_trials - 1``, already in index order within the
-    chunk).  Chunks arrive in completion order; :func:`map_trials` still
-    returns the fully reassembled, index-ordered list, so the hook is a
-    pure streaming side channel — the serve subsystem uses it to push
-    partial results to subscribers while a point is still running.  Both
-    callbacks run under every backend, including serial recovery after
-    pool faults, and a retried chunk reports only its final successful
-    attempt (exactly once per chunk).
+    :class:`ChunkTiming` (completion order, not index order), under
+    every backend; a retried chunk reports only its final successful
+    attempt (exactly once per chunk).  The serve subsystem chains onto
+    it to push ``progress`` frames while a point is still running.
 
     The fault knobs govern the process backend only (the failure modes
     they guard — worker kills, broken pools, stuck workers — do not
@@ -246,22 +233,16 @@ class ExecutionPlan:
         past its deadline is treated as failed: the pool is killed to
         reclaim the stuck worker and the chunk retries with the deadline
         scaled by :data:`TIMEOUT_BACKOFF` per prior attempt.
-    ``on_failure``
-        ``"raise"`` (default) aborts with
-        :class:`repro.errors.ExecutorError` naming the failing trial
-        indices once any chunk exhausts its retries; ``"serial"``
-        degrades gracefully instead, re-running every unfinished chunk
-        serially in the parent process (bit-identical, pool-proof).
+
+    Once any chunk exhausts its retries the map raises
+    :class:`repro.errors.ExecutorError` naming the failing trial indices.
     """
 
     workers: int = 1
     chunk_size: "int | None" = None
     progress: "Callable[[ChunkTiming], None] | None" = None
-    on_chunk: "Callable[[ChunkTiming, list], None] | None" = None
-    start_method: "str | None" = None
     max_retries: int = 2
     chunk_timeout_s: "float | None" = None
-    on_failure: str = "raise"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -273,10 +254,6 @@ class ExecutionPlan:
         if self.chunk_timeout_s is not None and not self.chunk_timeout_s > 0:
             raise ValueError(
                 f"chunk_timeout_s must be positive, got {self.chunk_timeout_s}"
-            )
-        if self.on_failure not in ("raise", "serial"):
-            raise ValueError(
-                f"on_failure must be 'raise' or 'serial', got {self.on_failure!r}"
             )
 
     def resolved_chunk_size(self, num_trials: int) -> int:
@@ -386,7 +363,7 @@ def _run_serial(
         chunk_results, elapsed, _delta = _timed_chunk(
             chunk_fn, payload, spec, indices, chunk_number=chunk_number
         )
-        _chunk_done(plan, observer, timings, chunk_number, indices, chunk_results, elapsed)
+        _chunk_done(plan, observer, timings, chunk_number, indices, elapsed)
         results.extend(chunk_results)
     return results, timings
 
@@ -397,10 +374,9 @@ def _chunk_done(
     timings: "list[ChunkTiming]",
     number: int,
     indices: "Sequence[int]",
-    chunk_results: list,
     elapsed: float,
 ) -> None:
-    """Report one finished chunk: telemetry, its timing, the plan's hooks."""
+    """Report one finished chunk: telemetry, its timing, the plan's hook."""
     observer.chunk_completed(number, indices, elapsed)
     timing = ChunkTiming(
         chunk_index=number,
@@ -411,30 +387,26 @@ def _chunk_done(
     timings.append(timing)
     if plan.progress is not None:
         plan.progress(timing)
-    if plan.on_chunk is not None:
-        plan.on_chunk(timing, list(chunk_results))
 
 
 class _ExecutionObserver:
     """The single funnel for execution telemetry.
 
     Every chunk-lifecycle transition — dispatch, completion, failure,
-    timeout, pool rebuild, serial recovery — is reported here exactly
-    once.  The observer forwards it to :mod:`repro.obs` (structured
-    event + metric + trace marker, all no-ops while observability is
-    disabled) *and* accumulates the counters that
-    :meth:`ExecutionReport.as_metadata` later exposes, so the report is
-    derived from the same stream the logs show rather than being
-    plumbed in parallel.
+    timeout, pool rebuild — is reported here exactly once.  The observer
+    forwards it to :mod:`repro.obs` (structured event + metric + trace
+    marker, all no-ops while observability is disabled) *and* accumulates
+    the counters that :meth:`ExecutionReport.as_metadata` later exposes,
+    so the report is derived from the same stream the logs show rather
+    than being plumbed in parallel.
     """
 
-    __slots__ = ("retries", "pool_rebuilds", "timeouts", "serial_recovered_chunks", "events")
+    __slots__ = ("retries", "pool_rebuilds", "timeouts", "events")
 
     def __init__(self) -> None:
         self.retries = 0
         self.pool_rebuilds = 0
         self.timeouts = 0
-        self.serial_recovered_chunks = 0
         self.events: "list[dict[str, Any]]" = []
 
     def chunk_dispatched(
@@ -477,7 +449,7 @@ class _ExecutionObserver:
         error: str,
         will_retry: bool,
     ) -> None:
-        """One failed attempt of one chunk (raise / timeout / serial)."""
+        """One failed attempt of one chunk (raise / timeout)."""
         self.events.append(
             {"chunk_index": number, "kind": kind, "attempt": attempt, "error": error}
         )
@@ -517,21 +489,14 @@ class _ExecutionObserver:
         obs.inc("executor.pool_rebuilds")
         obs.instant("executor.pool.rebuild", broken=broken)
 
-    def serial_recovery(self, number: int) -> None:
-        self.serial_recovered_chunks += 1
-        if not _obs_runtime._enabled:
-            return
-        obs.log("executor.chunk.serial_recovered", chunk=number)
-        obs.inc("executor.serial_recovered_chunks")
-
 
 def _describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
 
-def _start_method(plan: ExecutionPlan) -> str:
-    """The start method for this plan (plan > env > default)."""
-    return plan.start_method or os.environ.get(START_METHOD_ENV) or default_start_method()
+def _start_method() -> str:
+    """The pool start method: :data:`START_METHOD_ENV`, else the default."""
+    return os.environ.get(START_METHOD_ENV) or default_start_method()
 
 
 def _resolve_context(method: str):
@@ -697,7 +662,7 @@ class _PoolRunner:
     docstring, and the pool it leased or started until ``run()`` parks
     or kills it.  ``run()`` returns ``(per-trial results, timings)`` or
     raises :class:`ExecutorError`; completed chunks are never recomputed
-    across retries, rebuilds, or the serial degradation pass.
+    across retries or rebuilds.
     """
 
     def __init__(
@@ -718,7 +683,7 @@ class _PoolRunner:
         self.pool = None
         self.pending: "dict[Any, int]" = {}  # future -> chunk number
         self.deadlines: "dict[Any, float]" = {}  # future -> monotonic deadline
-        self.method = _start_method(plan)
+        self.method = _start_method()
         self.worker_config = obs.worker_config()
         self.key = _pool_key(workers, self.method, self.worker_config)
 
@@ -776,16 +741,13 @@ class _PoolRunner:
         else:
             self.exhausted[number] = self._failure(number, kind, error)
 
-    def _complete(
-        self, number: int, chunk_results: list, elapsed: float, delta=None
-    ) -> None:
+    def _complete(self, number: int, chunk_results: list, elapsed: float, delta) -> None:
         if delta is not None:
             # Fold the worker's per-chunk metrics back into this process.
             obs.merge_into_registry(delta)
         self.completed[number] = chunk_results
         _chunk_done(
-            self.plan, self.observer, self.timings, number, self.chunks[number],
-            chunk_results, elapsed,
+            self.plan, self.observer, self.timings, number, self.chunks[number], elapsed
         )
 
     def _submit(self, number: int) -> None:
@@ -866,8 +828,7 @@ class _PoolRunner:
                 self.pool_breaks += 1
                 if self.pool_breaks > max(1, self.plan.max_retries):
                     # Rebuild budget exhausted: everything unfinished
-                    # fails as pool-broken (the serial path may still
-                    # recover it, per on_failure).
+                    # fails as pool-broken.
                     for number in retry:
                         self.exhausted.setdefault(
                             number, self._failure(number, "pool-broken", pool_broken)
@@ -880,33 +841,6 @@ class _PoolRunner:
             if number not in self.exhausted:
                 self._submit(number)
 
-    def _recover_serially(self) -> "list[ChunkFailure]":
-        """Run every unfinished chunk in the parent (the degradation path)."""
-        failures: "list[ChunkFailure]" = []
-        for number in sorted(set(range(len(self.chunks))) - set(self.completed)):
-            self.observer.chunk_dispatched(
-                number, self.chunks[number], attempt=self.attempts[number], backend="serial-recovery"
-            )
-            try:
-                chunk_results, elapsed, _delta = _timed_chunk(
-                    self.chunk_fn, self.payload, self.spec, self.chunks[number],
-                    chunk_number=number,
-                )
-            except Exception as error:
-                self.attempts[number] += 1
-                self.observer.chunk_failed(
-                    number,
-                    kind="serial",
-                    attempt=self.attempts[number],
-                    error=_describe_error(error),
-                    will_retry=False,
-                )
-                failures.append(self._failure(number, "serial", error))
-                continue
-            self.observer.serial_recovery(number)
-            self._complete(number, chunk_results, elapsed)
-        return failures
-
     def run(self) -> "tuple[list, list[ChunkTiming]]":
         self._acquire_pool()
         clean = False
@@ -915,10 +849,10 @@ class _PoolRunner:
                 self._submit(number)
             while self.pending:
                 self._drain_once()
-                if self.exhausted and self.plan.on_failure == "raise":
+                if self.exhausted:
                     failures = [self.exhausted[k] for k in sorted(self.exhausted)]
                     raise ExecutorError(failures)
-            clean = not self.exhausted
+            clean = True
         finally:
             # Only a pool that ends with nothing pending and nothing
             # exhausted is parked; a killed-and-rebuilt pool's successor
@@ -927,14 +861,6 @@ class _PoolRunner:
                 self.pool = None
             else:
                 self._kill_pool()
-        if len(self.completed) < len(self.chunks):
-            # Only reachable with on_failure="serial": exhausted chunks
-            # (and anything stranded by a dead pool) get one in-parent
-            # serial pass — bit-identical when it works, ExecutorError
-            # naming the survivors when it doesn't.
-            failures = self._recover_serially()
-            if failures:
-                raise ExecutorError(failures)
         results: "list" = []
         for number in range(len(self.chunks)):
             results.extend(self.completed[number])
@@ -1030,7 +956,6 @@ def map_trials(
         retries=observer.retries,
         pool_rebuilds=observer.pool_rebuilds,
         timeouts=observer.timeouts,
-        serial_recovered_chunks=observer.serial_recovered_chunks,
         fault_events=observer.events,
     )
     _obs_manifest.note_execution(report)

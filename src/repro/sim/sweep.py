@@ -22,7 +22,7 @@ plan: crashed workers and failed chunks are retried bit-identically (the
 recovery counters land in ``metadata["_execution"]["faults"]``), and
 retry exhaustion raises :class:`repro.errors.ExecutorError` naming the
 failing point indices — see :class:`repro.sim.executor.ExecutionPlan`'s
-``max_retries`` / ``chunk_timeout_s`` / ``on_failure`` knobs.
+``max_retries`` / ``chunk_timeout_s`` knobs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class _SweepProgress:
 
     def __init__(self, label: str, total: int,
                  inner: "Callable[[ChunkTiming], None] | None",
-                 cached: int = 0):
+                 cached: int):
         self.label = label
         self.total = total
         self.inner = inner
@@ -86,7 +86,7 @@ class _SweepProgress:
 
 
 def _with_progress(
-    execution: "ExecutionPlan | None", label: str, total: int, cached: int = 0
+    execution: "ExecutionPlan | None", label: str, total: int, cached: int
 ) -> "ExecutionPlan | None":
     """The execution plan with a sweep-progress reporter chained in.
 
@@ -102,50 +102,17 @@ def _with_progress(
     )
 
 
-def _with_on_point(
-    execution: "ExecutionPlan | None",
-    params: "list[float]",
-    index_map: "Sequence[int]",
-    on_point: "Callable[[int, float, float], None]",
-) -> ExecutionPlan:
-    """The execution plan with a per-point completion hook chained in.
+def _sweep_chunk(payload, spec: SeedSpec, positions) -> "list[float]":
+    """Evaluate sweep points ``indices[position]``, each on its own stream.
 
-    Translates the executor's per-chunk ``on_chunk`` stream into
-    ``on_point(index, parameter, value)`` calls, one per sweep point, in
-    chunk-completion order.  ``index_map`` maps trial positions (what the
-    executor numbers) back to original sweep indices, so subset dispatch
-    of cache misses reports the true point index.
+    ``indices`` lists the points this sweep dispatches (every point, or
+    the store's misses); a point's stream is keyed by its sweep index,
+    so its value is bit-identical whichever other points run with it.
     """
-    plan = execution if execution is not None else ExecutionPlan()
-    inner = plan.on_chunk
-
-    def hook(timing: ChunkTiming, chunk_results: list) -> None:
-        if inner is not None:
-            inner(timing, chunk_results)
-        for offset, value in enumerate(chunk_results):
-            index = index_map[timing.start_index + offset]
-            on_point(index, params[index], float(value))
-
-    return dataclasses.replace(plan, on_chunk=hook)
-
-
-def _sweep_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
-    """Evaluate one chunk of sweep points with index-keyed streams."""
-    evaluate, params = payload
-    return [float(evaluate(params[index], spec.stream(index))) for index in indices]
-
-
-def _sweep_subset_chunk(payload, spec: SeedSpec, positions) -> "list[float]":
-    """Evaluate a *subset* of sweep points, preserving their original seeds.
-
-    ``positions`` index into the miss list; each maps back to the point's
-    original sweep index so its stream (and therefore its value) is
-    bit-identical to a full, uncached run.
-    """
-    evaluate, params, original_indices = payload
+    evaluate, params, indices = payload
     results = []
     for position in positions:
-        index = original_indices[position]
+        index = indices[position]
         results.append(float(evaluate(params[index], spec.stream(index))))
     return results
 
@@ -179,101 +146,80 @@ class _SeriesEvaluate:
         return self.evaluate(self.context, parameter, stream)
 
 
-def _cached_sweep_values(
+def _sweep_values(
     params: "list[float]",
     evaluate,
     spec: SeedSpec,
     execution: "ExecutionPlan | None",
     store,
-    label: str = "",
-    on_point: "Callable[[int, float, float], None] | None" = None,
+    label: str,
 ) -> "tuple[list[float], dict[str, Any]]":
-    """Values for every point, serving hits from ``store``.
+    """Values for every point, serving hits from ``store`` when given.
 
-    Returns ``(values, execution-metadata)``.  Falls back to a full
-    uncached run (noted under ``["store"]["status"]``) when the work unit
-    cannot be fingerprinted — lambdas, closures, exotic contexts — so
-    ``store=`` never changes *whether* a sweep runs, only how fast.
+    Returns ``(values, execution-metadata)``.  Without a store, or when
+    the work unit cannot be fingerprinted — lambdas, closures, exotic
+    contexts (noted under ``["store"]["status"]``) — every point is a
+    miss, so ``store=`` never changes *whether* a sweep runs, only how
+    fast.  Only fingerprinted misses are written back.
     """
-    from repro.store.cache import ReplayRecipe
-
     started = time.perf_counter()
-    try:
-        fingerprints = [
-            _point_fingerprint(evaluate, parameter, spec.child(index))
-            for index, parameter in enumerate(params)
-        ]
-    except StoreError as error:
-        plan = _with_progress(execution, label, len(params))
-        if on_point is not None:
-            plan = _with_on_point(plan, params, range(len(params)), on_point)
-        values, report = map_trials(
-            _sweep_chunk,
-            (evaluate, params),
-            len(params),
-            spec,
-            plan,
-        )
-        execution_meta = report.as_metadata()
-        execution_meta["store"] = {
-            "root": str(store.root),
-            "status": f"disabled:{error}",
-            "hits": 0,
-            "misses": len(params),
-        }
-        return values, execution_meta
-
     values: "list[float | None]" = [None] * len(params)
-    misses: "list[int]" = []
-    for index, point_fingerprint in enumerate(fingerprints):
-        record = store.get(point_fingerprint)
-        if record is not None:
-            values[index] = float(record["payload"]["value"])
-            if on_point is not None:
-                # Hits stream immediately (index order), before any miss
-                # is dispatched — a fully warm sweep streams synchronously.
-                on_point(index, params[index], values[index])
-        else:
-            misses.append(index)
-
-    if _obs_runtime._enabled:
-        obs.log(
-            "sweep.cache",
-            label=label,
-            hits=len(params) - len(misses),
-            misses=len(misses),
-        )
-        obs.inc("sweep.points.cached", len(params) - len(misses))
+    fingerprints = None
+    store_meta = None
+    if store is not None:
+        store_meta = {"root": str(store.root), "status": "ok"}
+        try:
+            fingerprints = [
+                _point_fingerprint(evaluate, parameter, spec.child(index))
+                for index, parameter in enumerate(params)
+            ]
+        except StoreError as error:
+            store_meta["status"] = f"disabled:{error}"
+    if fingerprints is None:
+        misses = list(range(len(params)))
+    else:
+        misses = []
+        for index, point_fingerprint in enumerate(fingerprints):
+            record = store.get(point_fingerprint)
+            if record is not None:
+                values[index] = float(record["payload"]["value"])
+            else:
+                misses.append(index)
+        if _obs_runtime._enabled:
+            obs.log(
+                "sweep.cache",
+                label=label,
+                hits=len(params) - len(misses),
+                misses=len(misses),
+            )
+            obs.inc("sweep.points.cached", len(params) - len(misses))
 
     if misses:
         plan = _with_progress(
             execution, label, len(params), cached=len(params) - len(misses)
         )
-        if on_point is not None:
-            plan = _with_on_point(plan, params, misses, on_point)
         computed, report = map_trials(
-            _sweep_subset_chunk,
-            (evaluate, params, misses),
-            len(misses),
-            spec,
-            plan,
+            _sweep_chunk, (evaluate, params, misses), len(misses), spec, plan
         )
-        replayable = _is_picklable(evaluate)
-        for position, index in enumerate(misses):
-            value = float(computed[position])
+        for index, value in zip(misses, computed):
             values[index] = value
-            replay = None
-            if replayable:
-                replay = ReplayRecipe(
-                    entry="repro.sim.sweep:_replay_sweep_point",
-                    payload=(evaluate, params[index], spec.child(index)),
+        if fingerprints is not None:
+            from repro.store.cache import ReplayRecipe
+
+            replayable = _is_picklable(evaluate)
+            for index in misses:
+                replay = None
+                if replayable:
+                    replay = ReplayRecipe(
+                        entry="repro.sim.sweep:_replay_sweep_point",
+                        payload=(evaluate, params[index], spec.child(index)),
+                    )
+                store.put(
+                    fingerprints[index],
+                    "sweep-point",
+                    {"parameter": params[index], "value": values[index]},
+                    replay=replay,
                 )
-            store.put(
-                fingerprints[index],
-                "sweep-point",
-                {"parameter": params[index], "value": value},
-                replay=replay,
-            )
         execution_meta = report.as_metadata()
     else:
         execution_meta = {
@@ -284,12 +230,10 @@ def _cached_sweep_values(
             "total_seconds": time.perf_counter() - started,
             "chunks": [],
         }
-    execution_meta["store"] = {
-        "root": str(store.root),
-        "status": "ok",
-        "hits": len(params) - len(misses),
-        "misses": len(misses),
-    }
+    if store_meta is not None:
+        store_meta["hits"] = len(params) - len(misses)
+        store_meta["misses"] = len(misses)
+        execution_meta["store"] = store_meta
     return values, execution_meta
 
 
@@ -302,7 +246,6 @@ def sweep(
     metadata: "dict[str, Any] | None" = None,
     execution: "ExecutionPlan | None" = None,
     store=None,
-    on_point: "Callable[[int, float, float], None] | None" = None,
 ) -> SweepResult:
     """Evaluate ``evaluate(parameter, rng)`` over a parameter list.
 
@@ -319,14 +262,6 @@ def sweep(
     point's value under its canonical fingerprint: re-running the sweep
     serves hits from disk and computes only the misses, bit-identically
     to an uncached run.
-
-    ``on_point`` streams incremental completion: it is called in the
-    parent process with ``(index, parameter, value)`` as each point's
-    value materializes — cache hits first (index order), then computed
-    points as their chunks finish (completion order).  Every point is
-    reported exactly once; the returned :class:`SweepResult` is unchanged
-    by the hook.  The serve subsystem uses this to push per-point results
-    to subscribers while the sweep is still running.
     """
     params = [float(p) for p in parameters]
     if not params:
@@ -337,23 +272,7 @@ def sweep(
             "sweep.start", label=label, points=len(params), cached=store is not None
         )
     started = time.perf_counter()
-    if store is not None:
-        values, execution_meta = _cached_sweep_values(
-            params, evaluate, spec, execution, store, label=label,
-            on_point=on_point,
-        )
-    else:
-        plan = _with_progress(execution, label, len(params))
-        if on_point is not None:
-            plan = _with_on_point(plan, params, range(len(params)), on_point)
-        values, report = map_trials(
-            _sweep_chunk,
-            (evaluate, params),
-            len(params),
-            spec,
-            plan,
-        )
-        execution_meta = report.as_metadata()
+    values, execution_meta = _sweep_values(params, evaluate, spec, execution, store, label)
     if _obs_manifest._active is not None:
         store_meta = execution_meta.get("store", {})
         _obs_manifest.note_sweep(
@@ -388,7 +307,6 @@ def sweep_grid(
     rng: "int | np.random.Generator | SeedSpec | None" = 0,
     execution: "ExecutionPlan | None" = None,
     store=None,
-    on_point: "Callable[[str, int, float, float], None] | None" = None,
 ) -> "list[SweepResult]":
     """Sweep the same parameter list for several labelled series.
 
@@ -399,22 +317,12 @@ def sweep_grid(
     and worker-count independent too.  ``store`` caches per point, as in
     :func:`sweep`; the series context is folded into each point's
     fingerprint, so different series never share cache entries.
-
-    ``on_point`` is :func:`sweep`'s streaming hook with the series label
-    prepended: ``on_point(series_label, index, parameter, value)``, one
-    call per point per series, series in declaration order and points in
-    the per-series hit-then-completion order.  The returned results are
-    unchanged by the hook.
     """
     if not series:
         raise ValueError("series must be non-empty")
     parent = SeedSpec.from_rng(rng)
     results = []
     for series_index, (label, context) in enumerate(series.items()):
-        series_hook = None
-        if on_point is not None:
-            def series_hook(index, parameter, value, _label=label):
-                on_point(_label, index, parameter, value)
         results.append(
             sweep(
                 label,
@@ -424,7 +332,6 @@ def sweep_grid(
                 metadata={"series": label},
                 execution=execution,
                 store=store,
-                on_point=series_hook,
             )
         )
     return results

@@ -30,6 +30,7 @@ from repro.serve.client import ServeClient
 from repro.serve.protocol import JobRejected, parse_job
 from repro.serve.server import ServeConfig, ServerThread
 from repro.sim.engine import run_downlink_trials
+from repro.sim.executor import ExecutionPlan
 from repro.sim.robustness import RobustnessConfig, run_robustness_sweep
 from repro.impair import ImpairmentSpec
 from repro.sim.scenario import default_office_scenario
@@ -59,6 +60,17 @@ class TestStreamedBitIdentity:
         spec = parse_job(BER_JOB).points[0]
         batch = run_downlink_trials(spec.trial_config(), rng=BER_JOB["seed"])
         assert streamed == batch
+
+    @pytest.mark.parametrize("plan, chunks", [
+        (ExecutionPlan(), 1),
+        (ExecutionPlan(workers=2, chunk_size=10), 4),
+    ])
+    def test_point_sends_one_progress_frame_per_chunk(self, plan, chunks):
+        with ServerThread(ServeConfig(pool_workers=1, execution=plan)) as handle:
+            with serve_client(handle) as client:
+                result = client.run(BER_JOB)
+        assert result.progress_frames == chunks
+        assert result.ber_point().bit_errors == BER_GOLDEN["bit_errors"]
 
     def test_ber_sweep_matches_per_point_batch_runs(self):
         job = {

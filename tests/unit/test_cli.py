@@ -469,6 +469,27 @@ class TestObservabilityFlags:
         assert "executor.trials.completed" in text
         assert "engine.downlink.trials" in text
 
+    def test_profile_counters_match_across_worker_counts(self):
+        from repro.obs import runtime
+
+        def counters(workers):
+            runtime.reset()  # the registry outlives one in-process run
+            code, text = run_cli(
+                ["ber", "--frames", "40", "--seed", "0", "--profile",
+                 "--workers", str(workers)]
+            )
+            assert code == 0
+            rows = [line.split() for line in text.split("profile [", 1)[1].splitlines()]
+            # Pool starts and reuses exist only where a pool does.
+            return {
+                row[0] for row in rows
+                if row[1:2] == ["counter"] and not row[0].startswith("executor.pool.")
+            }
+
+        pooled = counters(2)
+        assert "engine.downlink.sync_failures" in pooled
+        assert pooled == counters(1)
+
     def test_log_json_emits_json_lines(self, capsys):
         import json
 

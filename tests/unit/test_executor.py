@@ -137,10 +137,6 @@ class TestExecutionPlanValidation:
         with pytest.raises(ValueError):
             ExecutionPlan(chunk_timeout_s=-1.0)
 
-    def test_rejects_unknown_on_failure(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan(on_failure="ignore")
-
 
 class TestChunkTimingValidation:
     def test_accepts_valid_timing(self):
@@ -316,7 +312,7 @@ class TestSeedSpec:
 def _parked(workers=2):
     """``(pool, worker pids)`` parked for a default plan, or ``None``."""
     key = executor._pool_key(
-        workers, executor._start_method(ExecutionPlan()), obs.worker_config()
+        workers, executor._start_method(), obs.worker_config()
     )
     with executor._idle_lock:
         parked = executor._idle_pools.get(key)
@@ -360,7 +356,7 @@ def pid_chunk(payload, spec, indices):
 
 
 if __name__ == "__main__":
-    plan = ExecutionPlan(workers=2, chunk_size=1, start_method="forkserver")
+    plan = ExecutionPlan(workers=2, chunk_size=1)
     _, report = map_trials(pid_chunk, None, 4, rng=0, plan=plan)
     assert report.backend == "process", report.backend
     started = time.perf_counter()
@@ -468,6 +464,7 @@ class TestPoolLease:
             name: value for name, value in os.environ.items()
             if not name.startswith("REPRO_")
         }
+        env[executor.START_METHOD_ENV] = "forkserver"
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])

@@ -65,15 +65,6 @@ def _always_raise_chunk(payload, spec, indices):
     return _values(spec, indices)
 
 
-def _worker_only_raise_chunk(payload, spec, indices):
-    """Fail in pool workers but succeed in the parent (serial recovery)."""
-    import multiprocessing
-
-    if multiprocessing.parent_process() is not None:
-        raise RuntimeError("worker-only fault")
-    return _values(spec, indices)
-
-
 def _slow_once_chunk(payload, spec, indices):
     """Stall far past the chunk deadline on the first dispatch only."""
     flag_path, slow_index = payload
@@ -193,21 +184,6 @@ class TestFaultRecovery:
         assert all(f.attempts == 2 for f in error.failures)  # 1 + max_retries
         assert "5" in str(error)
 
-    def test_on_failure_serial_recovers_in_parent(self):
-        serial, _ = map_trials(_echo_chunk, None, 10, rng=9)
-        values, report = map_trials(
-            _worker_only_raise_chunk,
-            None,
-            10,
-            rng=9,
-            plan=ExecutionPlan(
-                workers=2, chunk_size=5, max_retries=0, on_failure="serial"
-            ),
-        )
-        assert values == serial
-        assert report.serial_recovered_chunks == 2
-        assert any(event["kind"] == "raise" for event in report.fault_events)
-
     def test_chunk_timeout_recovers_bit_exact(self, tmp_path):
         serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
         flag = tmp_path / "slow.flag"
@@ -264,7 +240,7 @@ class TestFaultRecovery:
         plan = ExecutionPlan(workers=2, chunk_size=2)
         map_trials(_echo_chunk, None, 8, rng=9, plan=plan)
         key = executor._pool_key(
-            2, executor._start_method(plan), obs.worker_config()
+            2, executor._start_method(), obs.worker_config()
         )
         with executor._idle_lock:
             victim = next(iter(executor._idle_pools[key].pool._processes))
@@ -288,7 +264,6 @@ class TestFaultRecovery:
         assert faults["retries"] == report.retries
         assert faults["pool_rebuilds"] == report.pool_rebuilds
         assert faults["timeouts"] == report.timeouts
-        assert faults["serial_recovered_chunks"] == report.serial_recovered_chunks
         assert faults["events"] == list(report.fault_events)
         assert faults["retries"] >= 1
 
@@ -299,7 +274,6 @@ class TestFaultRecovery:
         assert report.retries == 0
         assert report.pool_rebuilds == 0
         assert report.timeouts == 0
-        assert report.serial_recovered_chunks == 0
         assert report.fault_events == []
 
 

@@ -182,6 +182,17 @@ class TestMetrics:
         assert delta["histograms"]["h"]["count"] == 1
         assert delta["histograms"]["h"]["sum"] == pytest.approx(0.2)
 
+    def test_diff_keeps_a_counter_made_at_zero_in_the_window(self):
+        """A pool worker's first chunk must ship the counters it made,
+        zero or not, or the merged profile loses them."""
+        enable()
+        obs.inc("old", 0)
+        before = obs.snapshot()
+        obs.inc("old", 0)
+        obs.inc("new", 0)
+        delta = metrics.diff_snapshots(before, obs.snapshot())
+        assert delta["counters"] == {"new": 0}
+
     def test_diff_rejects_changed_edges(self):
         a = {"counters": {}, "gauges": {},
              "histograms": {"h": {"edges": [1.0], "bucket_counts": [1, 0],

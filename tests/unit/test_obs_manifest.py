@@ -192,8 +192,7 @@ class _FakeReport:
         return {
             "num_trials": 0, "total_seconds": 0.0, "chunks": [],
             "faults": {"retries": len(self._events), "pool_rebuilds": 0,
-                       "timeouts": 0, "serial_recovered_chunks": 0,
-                       "events": self._events},
+                       "timeouts": 0, "events": self._events},
         }
 
 
@@ -290,6 +289,16 @@ class TestReportRendering:
         )
         text = render_diff(a, b)
         assert "extra.counter" in text
+
+    def test_manifest_with_retired_fault_slot_renders_and_diffs(self, tmp_path):
+        """Manifests written while ``serial_recovered_chunks`` existed."""
+        new = self._finalized(tmp_path)
+        old = self._finalized(tmp_path)
+        old["execution"]["faults"]["serial_recovered_chunks"] = 0
+        assert "0 retries" in render_run_report(old)
+        assert "faults:" not in render_diff(old, new)
+        old["execution"]["faults"]["retries"] = 1
+        assert "faults:" in render_diff(old, new)
 
 
 class TestAtomicWriteAlias:

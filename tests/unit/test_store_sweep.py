@@ -61,11 +61,45 @@ class TestSweepResumption:
         assert warm.metadata["_execution"]["backend"] == "cache"
         assert warm.metadata["_execution"]["store"]["hits"] == len(params)
 
-    def test_store_matches_uncached_reference(self, store):
-        params = [0.5, 1.5, 2.5]
+    def test_store_matches_uncached_reference(self, tmp_path):
+        """Every dispatch route gives the uncached values and hit split."""
+        params = [0.5, 1.5, 2.5, 3.5]
         reference = sweep("s", params, counted_noisy, rng=3)
-        cached = sweep("s", params, counted_noisy, rng=3, store=store)
-        assert sweep_results_equal(cached, reference)
+        cases = [
+            ("no store", counted_noisy, None),
+            ("unfingerprintable", lambda p, s: p + s.normal(), 0),
+            ("cold", counted_noisy, 0),
+            ("half-warm", counted_noisy, 2),
+            ("warm", counted_noisy, 4),
+        ]
+        for case, evaluate, hits in cases:
+            for workers in (1, 2):
+                store = None
+                if hits is not None:
+                    store = ExperimentStore(tmp_path / f"{case}-{workers}")
+                    if hits:
+                        sweep("s", params[:hits], counted_noisy, rng=3, store=store)
+                result = sweep(
+                    "s", params, evaluate, rng=3,
+                    execution=ExecutionPlan(workers=workers), store=store,
+                )
+                where = f"{case}, workers={workers}"
+                assert sweep_results_equal(result, reference), where
+                execution = result.metadata["_execution"]
+                if store is None:
+                    assert "store" not in execution, where
+                    continue
+                assert execution["store"]["hits"] == hits, where
+                assert execution["store"]["misses"] == len(params) - hits, where
+                fingerprinted = evaluate is counted_noisy
+                assert execution["store"]["status"].startswith(
+                    "ok" if fingerprinted else "disabled:"
+                ), where
+                assert store.stats().entries == (len(params) if fingerprinted else 0), where
+                if hits == len(params):
+                    assert execution["backend"] == "cache", where
+                elif workers == 2 and fingerprinted:
+                    assert execution["backend"] == "process", where
 
     def test_single_point_edit_recomputes_exactly_that_point(self, store):
         sweep("s", [1.0, 2.0, 3.0, 4.0], counted_noisy, rng=7, store=store)
@@ -273,36 +307,3 @@ class TestSweepProgressEvents:
         assert all(event["cached"] == 0 for event in events)
         assert all(event["dispatched"] == 3 for event in events)
 
-
-class TestSweepGridOnPoint:
-    def test_on_point_streams_every_grid_cell(self):
-        calls = []
-
-        def hook(series_label, index, parameter, value):
-            calls.append((series_label, index, parameter, value))
-
-        series = {"one": 1.0, "two": 2.0}
-        parameters = [0.1, 0.2, 0.3]
-        results = sweep_grid(series, parameters, counted_grid, rng=11,
-                             on_point=hook)
-        assert len(calls) == len(series) * len(parameters)
-        # Series arrive in declaration order; values match the results.
-        assert [label for label, *_ in calls[:3]] == ["one"] * 3
-        assert [label for label, *_ in calls[3:]] == ["two"] * 3
-        by_series = {result.label: result for result in results}
-        for label, index, parameter, value in calls:
-            assert parameter == parameters[index]
-            assert value == by_series[label].values[index]
-
-    def test_on_point_fires_for_cache_hits_too(self, store):
-        series = {"one": 1.0, "two": 2.0}
-        parameters = [0.1, 0.2]
-        sweep_grid(series, parameters, counted_grid, rng=11, store=store)
-
-        calls = []
-        sweep_grid(
-            series, parameters, counted_grid, rng=11, store=store,
-            on_point=lambda label, index, parameter, value:
-                calls.append((label, index)),
-        )
-        assert calls == [("one", 0), ("one", 1), ("two", 0), ("two", 1)]
