@@ -1,32 +1,61 @@
-"""Executor scaling — parallel Monte-Carlo is bit-exact and (given cores) faster.
+"""Executor scaling — bit-exact at every worker count, never slower than serial.
 
-Runs a 240-frame downlink BER workload serially and under a 4-worker
-``ExecutionPlan``, asserting the two ``BerPoint`` results — including the
-``extra`` payload — are identical bit for bit, and emits the wall-clock
-timing table.  A distance sweep over the same engine records per-chunk
-timings into ``SweepResult.metadata["_execution"]``, exercising the
-progress/timing side channel end to end.
+Times two downlink BER distance sweeps (the shape of Figs. 12–14: many
+small operating points) serially and under 2- and 4-worker
+``ExecutionPlan``s, and emits the wall-clock table with the backend each
+plan ran on:
 
-The speedup assertion is gated on the cores actually available to this
-process: on a single-core CI runner a process pool cannot beat serial
-execution, and pretending otherwise would make the bench flaky.  The
-timing metadata is recorded (and emitted) either way.
+* ``small``: ``SMALL_POINTS`` points of ``SMALL_FRAMES`` frames, a few
+  milliseconds in all, below the executor's measured in-process
+  threshold, so every ``workers > 1`` plan runs it in-process
+  (``backend="inprocess"``);
+* ``large``: ``LARGE_POINTS`` points of ``LARGE_FRAMES`` frames, above
+  the threshold, so it runs on the pool (``backend="process"``).
+
+Each plan first runs twice untimed, as in any program that maps more
+than once: the forkserver and a warm pool exist and the cost model has
+measured the sweep.  The timed runs then interleave the plans for
+``ROUNDS`` rounds and the table reports each plan's median.  The pool
+never has more workers than usable cores, so on 2 cores the 4-worker
+plan runs 2 workers.
+
+Asserted: every plan's sweep equals the serial one bit for bit, as does
+a ``BerPoint`` (``extra`` payload included) at 4 workers; no plan is
+slower than serial beyond timing noise (``>= 0.9``; in-process runs the
+serial code), and the small sweep runs in-process.  Where the usable
+cores really run in parallel (two busy processes get at least 1.5
+cores' worth of work done, measured before and after the sweeps), the
+large sweep runs on the pool and beats serial by ``> 1.0`` on 2 or 3
+cores and ``> 1.2`` on 4 or more; on a host whose cores share one
+core's time the cost model keeps it in-process instead, and only the
+noise floor applies.  The
+speedup is asserted only with BLAS threads pinned to one
+(``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``, as CI and perfbench run):
+unpinned, every worker's OpenBLAS threads compete for the same cores
+(a 2-core host ran the large sweep at 0.93-1.35x, 1.49-1.71x pinned).
 """
 
 import os
+import statistics
 import time
 
 from conftest import emit
 from repro.radar.config import XBAND_9GHZ
 from repro.sim.engine import DownlinkTrialConfig, run_downlink_trials
-from repro.sim.executor import ExecutionPlan, strip_execution
+from repro.sim.executor import ExecutionPlan, strip_execution, sweep_results_equal
 from repro.sim.results import format_table
 from repro.sim.sweep import sweep
 
-NUM_FRAMES = 240
+SMALL_POINTS, SMALL_FRAMES = 2, 1
+LARGE_POINTS, LARGE_FRAMES = 8, 60
 SYMBOLS_PER_FRAME = 16
+POINT_FRAMES = 240
 DISTANCE_M = 5.0
-PARALLEL_WORKERS = 4
+WORKER_COUNTS = (1, 2, 4)
+#: Interleaved timed rounds per sweep; the small one takes ~2 ms, so it
+#: needs more of them to read its median through scheduler noise.
+ROUNDS = {"small": 25, "large": 5}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _available_cores() -> int:
@@ -36,84 +65,149 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _downlink_eval(distance, stream):
-    """Module-level sweep evaluate (picklable for the process backend)."""
-    from repro.sim.scenario import default_office_scenario
+def _burn(loops: int) -> float:
+    """Seconds of pure-Python work, timed where it runs."""
+    started = time.perf_counter()
+    total = 0
+    for value in range(loops):
+        total += value
+    return time.perf_counter() - started
 
-    scenario = default_office_scenario(tag_range_m=float(distance))
-    config = DownlinkTrialConfig(
+
+def _parallel_capacity(processes: int = 2, loops: int = 3_000_000) -> float:
+    """Cores' worth of work ``processes`` busy processes get done at once:
+    ``processes`` on idle cores, about 1 where they share one core."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(processes, mp_context=context) as pool:
+        list(pool.map(_burn, [1] * processes))  # start every worker first
+        alone = pool.submit(_burn, loops).result()
+        together = list(pool.map(_burn, [loops] * processes))
+    return sum(alone / seconds for seconds in together)
+
+
+def _config(alphabet, distance_m, frames) -> DownlinkTrialConfig:
+    return DownlinkTrialConfig(
         radar_config=XBAND_9GHZ,
-        alphabet=scenario.alphabet,
-        distance_m=float(distance),
-        num_frames=4,
-        payload_symbols_per_frame=4,
+        alphabet=alphabet,
+        distance_m=float(distance_m),
+        num_frames=frames,
+        payload_symbols_per_frame=SYMBOLS_PER_FRAME,
     )
-    return run_downlink_trials(config, rng=stream).ber
+
+
+class PointBer:
+    """Sweep ``evaluate``: the downlink BER of one point, run serially.
+
+    A module-level callable class, so pool workers can unpickle it.
+    """
+
+    def __init__(self, alphabet, frames: int) -> None:
+        self.alphabet = alphabet
+        self.frames = frames
+
+    def __call__(self, distance_m: float, stream) -> float:
+        return run_downlink_trials(
+            _config(self.alphabet, distance_m, self.frames), rng=stream
+        ).ber
+
+
+def _time_plans(evaluate, points: int, rounds: int):
+    """``{workers: (median wall s, SweepResult)}``, plans interleaved."""
+    plans = {workers: ExecutionPlan(workers=workers) for workers in WORKER_COUNTS}
+    distances = [2.0 + 0.75 * index for index in range(points)]
+
+    def run(plan):
+        return sweep("ber-vs-distance", distances, evaluate, rng=0, execution=plan)
+
+    for plan in plans.values():
+        for _ in range(2):  # pool start and cost measurement, untimed
+            run(plan)
+    walls = {workers: [] for workers in plans}
+    results = {}
+    for _ in range(rounds):
+        for workers, plan in plans.items():
+            start = time.perf_counter()
+            results[workers] = run(plan)
+            walls[workers].append(time.perf_counter() - start)
+    return {
+        workers: (statistics.median(walls[workers]), results[workers])
+        for workers in plans
+    }
 
 
 def run_study(paper_alphabet):
-    config = DownlinkTrialConfig(
-        radar_config=XBAND_9GHZ,
-        alphabet=paper_alphabet,
-        distance_m=DISTANCE_M,
-        num_frames=NUM_FRAMES,
-        payload_symbols_per_frame=SYMBOLS_PER_FRAME,
-    )
-    timings = {}
-    points = {}
-    for label, plan in (
-        ("serial", ExecutionPlan(workers=1)),
-        (f"{PARALLEL_WORKERS} workers", ExecutionPlan(workers=PARALLEL_WORKERS)),
-    ):
-        start = time.perf_counter()
-        points[label] = run_downlink_trials(config, rng=0, execution=plan)
-        timings[label] = time.perf_counter() - start
-
-    swept = sweep(
-        "ber-vs-distance",
-        [2.0, 4.0, 6.0],
-        _downlink_eval,
-        rng=0,
-        execution=ExecutionPlan(workers=2, chunk_size=1),
-    )
-    return points, timings, swept
+    capacity = _parallel_capacity()
+    studies = {
+        label: _time_plans(PointBer(paper_alphabet, frames), points, ROUNDS[label])
+        for label, points, frames in (
+            ("small", SMALL_POINTS, SMALL_FRAMES),
+            ("large", LARGE_POINTS, LARGE_FRAMES),
+        )
+    }
+    point = _config(paper_alphabet, DISTANCE_M, POINT_FRAMES)
+    points = {
+        workers: run_downlink_trials(point, rng=0, execution=ExecutionPlan(workers=workers))
+        for workers in (1, 4)
+    }
+    # A shared host's capacity drifts: keep the lower of before and after.
+    return studies, points, min(capacity, _parallel_capacity())
 
 
 def test_executor_scaling(benchmark, paper_alphabet):
-    points, timings, swept = benchmark.pedantic(
+    studies, points, capacity = benchmark.pedantic(
         run_study, args=(paper_alphabet,), rounds=1, iterations=1
     )
-    serial_point = points["serial"]
-    parallel_label = f"{PARALLEL_WORKERS} workers"
-    parallel_point = points[parallel_label]
-    speedup = timings["serial"] / timings[parallel_label]
-
-    rows = [
-        [label, f"{timings[label]:.2f}", f"{point.ber:.2e}",
-         f"{point.bit_errors}/{point.bits_total}"]
-        for label, point in points.items()
-    ]
-    table = format_table(["backend", "wall (s)", "BER", "errors/bits"], rows)
-    table += (
-        f"\n{NUM_FRAMES} frames x {SYMBOLS_PER_FRAME} symbols at {DISTANCE_M} m; "
-        f"speedup x{speedup:.2f} on {_available_cores()} available core(s)"
+    cores = _available_cores()
+    pinned = all(os.environ.get(name) == "1" for name in BLAS_THREAD_VARS)
+    scaling = cores >= 2 and capacity >= 1.5 and pinned
+    rows, speedups = [], {}
+    for label, timed in studies.items():
+        serial_s = timed[1][0]
+        for workers, (wall_s, result) in timed.items():
+            meta = result.metadata["_execution"]
+            speedups[label, workers] = serial_s / wall_s
+            rows.append([
+                label, str(workers), f"{meta['workers']}", meta["backend"],
+                f"{wall_s * 1e3:.1f}", f"x{speedups[label, workers]:.2f}",
+            ])
+    table = format_table(
+        ["sweep", "plan workers", "pool workers", "backend", "median wall (ms)",
+         "speedup"],
+        rows,
     )
-    exec_meta = swept.metadata["_execution"]
     table += (
-        f"\nsweep executor: backend={exec_meta['backend']} "
-        f"chunks={len(exec_meta['chunks'])} total={exec_meta['total_seconds']:.2f} s"
+        f"\n{SMALL_POINTS} x {SMALL_FRAMES} (small) / {LARGE_POINTS} x "
+        f"{LARGE_FRAMES} (large) points x frames of {SYMBOLS_PER_FRAME} symbols; "
+        f"median of {ROUNDS['small']} / {ROUNDS['large']} interleaved runs after "
+        f"2 untimed runs per plan, "
+        f"on {cores} available core(s); two busy processes did {capacity:.2f} "
+        f"cores' worth of work; BLAS threads {'pinned to 1' if pinned else 'unpinned'}"
     )
     emit("executor_scaling", table)
 
     # The determinism contract: identical results, bit for bit, extras included.
-    assert parallel_point == serial_point
-    # The timing side channel is populated with one record per chunk.
-    assert exec_meta["chunks"], "sweep recorded no per-chunk timings"
-    assert sum(c["num_trials"] for c in exec_meta["chunks"]) == len(swept.parameters)
-    # Deterministic payloads stay comparable once timing is stripped.
-    assert strip_execution(swept.metadata) == {}
-    # Honest speedup claim only where the hardware can deliver one.
-    if _available_cores() >= PARALLEL_WORKERS:
-        assert speedup > 1.2, (
-            f"expected >1.2x speedup with {PARALLEL_WORKERS} workers, got {speedup:.2f}"
-        )
+    assert points[4] == points[1]
+    for label, timed in studies.items():
+        serial = timed[1][1]
+        for workers, (_, result) in timed.items():
+            assert sweep_results_equal(result, serial), (label, workers)
+            meta = result.metadata["_execution"]
+            # The timing side channel has one record per chunk and strips away.
+            assert sum(c["num_trials"] for c in meta["chunks"]) == len(serial.values)
+            assert strip_execution(result.metadata) == {}
+            assert speedups[label, workers] >= 0.9, (label, workers, speedups)
+            if workers > 1 and label == "small":
+                assert meta["backend"] == "inprocess", (label, workers, meta["backend"])
+    # An honest speedup claim wherever the hardware can deliver one.
+    if scaling:
+        floor = 1.2 if cores >= 4 else 1.0
+        for workers in WORKER_COUNTS[1:]:
+            backend = studies["large"][workers][1].metadata["_execution"]["backend"]
+            assert backend == "process", (workers, backend)
+            assert speedups["large", workers] > floor, (
+                f"expected >{floor}x on the large sweep at {workers} workers, "
+                f"got {speedups['large', workers]:.2f}"
+            )

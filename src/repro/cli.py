@@ -159,14 +159,17 @@ def _add_worker_options(parser) -> None:
         "--workers",
         type=_positive_int,
         default=1,
-        help="Monte-Carlo worker processes (1 = serial; results are "
-        "bit-identical for any worker count)",
+        help="Monte-Carlo worker processes, capped at the usable cores "
+        "(1 = serial).  A map the executor has measured as cheaper "
+        "in-process runs there, moving to the workers once it proves "
+        "heavier; results are bit-identical for any worker count",
     )
     parser.add_argument(
         "--chunk-size",
         type=_positive_int,
         default=None,
-        help="trials per dispatched chunk (default: auto, ~4 chunks/worker)",
+        help="trials per dispatched chunk (default: auto, ~4 chunks/worker, "
+        "coarser once the executor has measured its dispatch cost)",
     )
     parser.add_argument(
         "--max-retries",
@@ -182,7 +185,8 @@ def _add_worker_options(parser) -> None:
         metavar="SECONDS",
         help="per-chunk deadline; a stuck chunk's worker process is killed "
         "and the chunk retried with exponential backoff.  Deadlines need "
-        "worker processes: a run that fits in one chunk runs in-process, "
+        "worker processes, so with a deadline every map of more than one "
+        "chunk uses them; a run that fits in one chunk runs in-process, "
         "where none applies (default: no timeout)",
     )
     parser.add_argument(
@@ -354,9 +358,11 @@ def _add_serve(subparsers) -> None:
     parser.add_argument(
         "--pool-workers", type=_positive_int, default=2,
         help="points computed at once, each on its own thread; a point's "
-        "trials run under --workers/--max-retries/--chunk-timeout, and a "
-        "deadline needs worker processes: a point that fits in one chunk "
-        "runs in-process (default 2)",
+        "trials run under --workers/--max-retries/--chunk-timeout, and "
+        "each thread keeps its own warm worker pool.  Small points run "
+        "in-process once measured, unless --chunk-timeout is set (a "
+        "deadline needs worker processes); a point that fits in one "
+        "chunk always runs in-process (default 2)",
     )
     parser.add_argument(
         "--max-pending", type=_positive_int, default=256,
@@ -949,13 +955,15 @@ def _run_obs(args, out) -> int:
 
 
 class _Telemetry:
-    """What one CLI invocation stood up: exporter thread + run recorder."""
+    """What one CLI invocation stood up: exporter thread + run recorder,
+    and the metrics registry as it stood before the command ran."""
 
-    __slots__ = ("exporter", "recorder")
+    __slots__ = ("exporter", "recorder", "baseline")
 
     def __init__(self) -> None:
         self.exporter = None
         self.recorder = None
+        self.baseline = None
 
 
 #: Config-fingerprint exclusions: telemetry and execution knobs change
@@ -1014,6 +1022,9 @@ def _setup_obs(args, argv: "list[str] | None" = None) -> _Telemetry:
         log_format="json" if log_json else None,
         trace_dir=trace_dir,
     )
+    # ``--profile`` lists this run's metrics only, not what earlier runs
+    # in the same process left in the registry.
+    telemetry.baseline = obs.snapshot()
     if manifest_dir:
         from repro.obs import manifest as obs_manifest
 
@@ -1062,6 +1073,8 @@ def _finish_obs(args, out, telemetry: "_Telemetry | None" = None,
     from repro.sim.results import format_table
 
     data = obs.snapshot()
+    if telemetry is not None and telemetry.baseline is not None:
+        data = obs.diff_snapshots(telemetry.baseline, data)
     rows = []
     for name, value in data["counters"].items():
         rows.append([name, "counter", f"{value:g}"])

@@ -100,6 +100,9 @@ class RunRecorder:
             "trials": 0,
             "chunks": 0,
             "seconds": 0.0,
+            # The most workers any map asked for and the most its pool
+            # ran with (capped at the usable cores; 1 when in-process).
+            "workers": {"requested": 0, "effective": 0},
             "faults": {
                 "retries": 0,
                 "pool_rebuilds": 0,
@@ -136,6 +139,12 @@ class RunRecorder:
             self._execution["trials"] += int(meta.get("num_trials", 0))
             self._execution["chunks"] += len(meta.get("chunks", ()))
             self._execution["seconds"] += float(meta.get("total_seconds", 0.0))
+            workers = self._execution["workers"]
+            effective = int(meta.get("workers", 1))
+            workers["effective"] = max(workers["effective"], effective)
+            workers["requested"] = max(
+                workers["requested"], int(meta.get("requested_workers", effective))
+            )
             for key in self._execution["faults"]:
                 self._execution["faults"][key] += int(faults.get(key, 0))
             for event in faults.get("events", ()):

@@ -127,6 +127,12 @@ def render_run_report(manifest: "dict[str, Any]") -> str:
         f"{execution.get('chunks', 0)} chunk(s), {trials} trial(s)"
         f" in {_fmt_num(seconds)} s{rate}"
     )
+    workers = execution.get("workers")
+    if workers:  # manifests written before the core cap have none
+        lines.append(
+            f"  workers: {workers['requested']} requested, "
+            f"{workers['effective']} effective"
+        )
     faults = execution.get("faults", {})
     lines.append(
         "  faults: "

@@ -49,17 +49,38 @@ owning it.  A pool that finishes a map with nothing pending and nothing
 exhausted is parked in an idle slot keyed by ``(process, workers, start
 method, obs.worker_config())``; the next map with the same key takes it
 (and its warm workers) out of the slot.  Two concurrent maps never share
-a pool: the second one finds the slot empty and starts its own, and when
-both finish the later one finds the slot taken and is killed.  A pool
-that broke, timed out or still holds chunks is killed exactly as
-before, never parked.  A parked pool shuts down after
-:data:`POOL_IDLE_RETIRE_S` of idleness, so a finished program neither
-keeps idle workers nor blocks its forkserver from stopping.  A parked
-pool keeps the forkserver up until its retirement has shut it down and
-released its queues' named semaphores, so stopping the forkserver and
-then the resource tracker never leaks them.  Leasing changes which
-processes run a chunk, never what a chunk computes, so results stay
-bit-identical.
+a pool: the second one finds no parked pool and starts its own, and
+both are parked when they finish, so a key holds at most one pool per
+map that ran at once.  A pool that broke, timed out or still holds
+chunks is killed exactly as before, never parked.  Each parked pool
+shuts down after :data:`POOL_IDLE_RETIRE_S` of idleness on its own
+timer, so a finished program neither keeps idle workers nor blocks its
+forkserver from stopping.  A parked pool keeps the forkserver up until
+its retirement has shut it down and released its queues' named
+semaphores, so stopping the forkserver and then the resource tracker
+never leaks them.  Leasing changes which processes run a chunk, never
+what a chunk computes, so results stay bit-identical.  A pool never has
+more workers than the cores this process may run on.
+
+**Backend choice.**  For small maps a pool costs more than it saves, so
+``map_trials`` keeps a per-process :class:`_CostModel`, fed only by maps
+that ran without a fault: the per-trial seconds of each *cost key* (the
+chunk function plus the payload's leading type), preferably measured
+in-process, and the pool's effective per-map overhead (wall time minus
+the in-process cost of its trials spread over the workers, kept apart
+for warm and newly started pools).  A ``workers > 1`` map runs
+in-process when its estimated serial time is no more than its
+estimated pool time, and otherwise on the pool; either way in chunks
+coarse enough that dispatch stays a small share of each.  A map with no
+estimate yet runs on the pool as before and takes the measurement; a
+key measured only in pool workers next starts in-process to measure
+itself there.  An in-process map re-checks after every chunk with the
+time it measured, and sends the remaining chunks to the pool once they
+are worth it, so a wrong estimate costs at most one chunk.  In-process
+maps retry a raising chunk like the pool does, but a chunk that kills
+the process kills the caller: a plan with ``chunk_timeout_s`` (a
+deadline needs a worker process) and a cost key that once needed a
+retry, rebuild or timeout always use the pool.
 """
 
 from __future__ import annotations
@@ -71,6 +92,7 @@ import os
 import pickle
 import threading
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -100,6 +122,10 @@ _FORKSERVER_PRELOAD = ("repro.sim.executor", "repro.sim.engine")
 #: A constant rather than a plan option: it bounds how long a program
 #: that has finished its last map keeps idle worker processes alive.
 POOL_IDLE_RETIRE_S = 1.0
+
+#: The largest share of a chunk's time that its dispatch may take when
+#: the cost model sizes chunks.
+DISPATCH_SHARE = 0.1
 
 
 def default_start_method() -> str:
@@ -161,6 +187,13 @@ class ChunkTiming:
 class ExecutionReport:
     """How a trial map actually ran: backend, chunking, timing, faults.
 
+    ``backend`` is ``"serial"`` (``workers=1``), ``"process"`` (the
+    pool), ``"inprocess"`` (a ``workers > 1`` map the cost model ran in
+    this process), ``"escalated"`` (begun in-process, finished on the
+    pool) or ``"serial-fallback:<reason>"`` (no pool could be used).
+    ``workers`` is the pool size that ran chunks (1 when none did) and
+    ``requested_workers`` the plan's.
+
     The fault counters record *recovered* trouble — retries that
     succeeded, pools that were rebuilt.  Unrecoverable failures never
     produce a report; they raise :class:`repro.errors.ExecutorError`
@@ -177,12 +210,14 @@ class ExecutionReport:
     pool_rebuilds: int = 0
     timeouts: int = 0
     fault_events: "list[dict[str, Any]]" = field(default_factory=list)
+    requested_workers: int = 1
 
     def as_metadata(self) -> "dict[str, Any]":
         """Plain-dict form for ``SweepResult.metadata['_execution']``."""
         return {
             "backend": self.backend,
             "workers": self.workers,
+            "requested_workers": self.requested_workers,
             "chunk_size": self.chunk_size,
             "num_trials": self.num_trials,
             "total_seconds": self.total_seconds,
@@ -203,24 +238,27 @@ class ExecutionPlan:
     ``workers=1`` (the default) runs serially in-process — no pool, no
     pickling, safe everywhere (Windows spawn semantics, frozen CI
     runners).  ``workers>1`` fans chunks out over a
-    ``ProcessPoolExecutor``, leased warm from the previous map with the
-    same worker count, start method and observability configuration
-    when one is parked (see the module docstring); results are
-    bit-identical either way.  The start method comes from
-    :data:`START_METHOD_ENV`, else :func:`default_start_method`.
+    ``ProcessPoolExecutor`` of at most ``workers`` and at most the
+    usable cores, leased warm from the previous map with the same
+    worker count, start method and observability configuration when one
+    is parked, unless the measured cost model finds the map cheaper
+    in-process (see the module docstring); results are bit-identical
+    either way.  The start method comes from :data:`START_METHOD_ENV`,
+    else :func:`default_start_method`.
 
     ``chunk_size`` balances scheduling granularity against dispatch
     overhead; ``None`` picks ``ceil(n / (4 * workers))`` so each worker
-    sees ~4 chunks for decent load balancing.  ``progress`` is called in
+    sees ~4 chunks for decent load balancing, or coarser chunks once
+    the cost model has measured the dispatch cost.  ``progress`` is called in
     the parent process once per finished chunk with a
     :class:`ChunkTiming` (completion order, not index order), under
     every backend; a retried chunk reports only its final successful
     attempt (exactly once per chunk).  The serve subsystem chains onto
     it to push ``progress`` frames while a point is still running.
 
-    The fault knobs govern the process backend only (the failure modes
-    they guard — worker kills, broken pools, stuck workers — do not
-    exist in-process):
+    The fault knobs govern ``workers>1`` plans only; an in-process map
+    of such a plan retries a raising chunk under ``max_retries`` too,
+    and a plan with ``chunk_timeout_s`` always runs on the pool:
 
     ``max_retries``
         How many times a failed chunk is resubmitted before it counts as
@@ -257,12 +295,26 @@ class ExecutionPlan:
             )
 
     def resolved_chunk_size(self, num_trials: int) -> int:
-        """The chunk size in effect for ``num_trials`` trials."""
+        """The chunk size in effect for ``num_trials`` trials before the
+        cost model coarsens it (``chunk_size=None`` only)."""
         if self.chunk_size is not None:
             return self.chunk_size
-        if self.workers <= 1:
-            return max(1, num_trials)
-        return max(1, math.ceil(num_trials / (4 * self.workers)))
+        return _default_chunk_size(num_trials, self.workers)
+
+
+def _default_chunk_size(num_trials: int, workers: int) -> int:
+    """``ceil(n / (4 * workers))``: about four chunks per worker."""
+    if workers <= 1:
+        return max(1, num_trials)
+    return max(1, math.ceil(num_trials / (4 * workers)))
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask), at least 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def chunk_indices(num_trials: int, chunk_size: int, start: int = 0) -> "list[range]":
@@ -348,24 +400,66 @@ def _is_picklable(*objects: Any) -> bool:
     return True
 
 
-def _run_serial(
+def _run_in_process(
     chunk_fn,
     payload,
     spec: SeedSpec,
     chunks: "list[range]",
     plan: ExecutionPlan,
     observer: "_ExecutionObserver",
-) -> "tuple[list, list[ChunkTiming]]":
+    timings: "list[ChunkTiming]",
+    *,
+    first: int = 0,
+    backend: str = "serial",
+    escalate: "Callable[[float, int, int], bool] | None" = None,
+) -> "tuple[list, int]":
+    """Run ``chunks[first:]`` in this process, in order.
+
+    Under ``backend="serial"`` a raising chunk propagates as it is.  The
+    ``"inprocess"`` backend retries it up to ``plan.max_retries`` times
+    and then raises :class:`ExecutorError`, as the pool does, and after
+    each chunk asks ``escalate(measured seconds per trial, trials left,
+    chunks left)`` whether to stop here.  Returns ``(results, number of
+    the first chunk not run)``.
+    """
     results: "list" = []
-    timings: "list[ChunkTiming]" = []
-    for chunk_number, indices in enumerate(chunks):
-        observer.chunk_dispatched(chunk_number, indices, attempt=0, backend="serial")
-        chunk_results, elapsed, _delta = _timed_chunk(
-            chunk_fn, payload, spec, indices, chunk_number=chunk_number
-        )
-        _chunk_done(plan, observer, timings, chunk_number, indices, elapsed)
+    spent = 0.0
+    done = left = 0
+    if escalate is not None:
+        left = sum(len(indices) for indices in chunks[first:])
+    for number in range(first, len(chunks)):
+        indices = chunks[number]
+        attempt = 0
+        while True:
+            observer.chunk_dispatched(number, indices, attempt=attempt, backend=backend)
+            try:
+                chunk_results, elapsed, _delta = _timed_chunk(
+                    chunk_fn, payload, spec, indices, chunk_number=number
+                )
+                break
+            except Exception as error:
+                if backend == "serial":
+                    raise
+                attempt += 1
+                will_retry = attempt <= plan.max_retries
+                observer.chunk_failed(
+                    number, kind="raise", attempt=attempt,
+                    error=_describe_error(error), will_retry=will_retry,
+                )
+                if not will_retry:
+                    raise ExecutorError([ChunkFailure(
+                        chunk_index=number, indices=tuple(indices), attempts=attempt,
+                        kind="raise", error=_describe_error(error),
+                    )]) from error
+        _chunk_done(plan, observer, timings, number, indices, elapsed)
         results.extend(chunk_results)
-    return results, timings
+        if escalate is not None and number + 1 < len(chunks):
+            spent += elapsed
+            done += len(indices)
+            left -= len(indices)
+            if escalate(spent / done, left, len(chunks) - number - 1):
+                return results, number + 1
+    return results, len(chunks)
 
 
 def _chunk_done(
@@ -481,6 +575,16 @@ class _ExecutionObserver:
         if _obs_runtime._enabled:
             obs.inc("executor.pool.reuses")
 
+    def ran_in_process(self) -> None:
+        """The cost model ran a ``workers > 1`` map in this process."""
+        if _obs_runtime._enabled:
+            obs.inc("executor.inprocess")
+
+    def escalated(self) -> None:
+        """An in-process map sent its remaining chunks to the pool."""
+        if _obs_runtime._enabled:
+            obs.inc("executor.escalations")
+
     def pool_rebuilt(self, *, broken: bool) -> None:
         self.pool_rebuilds += 1
         if not _obs_runtime._enabled:
@@ -559,7 +663,7 @@ class _IdlePool:
 
 
 _idle_lock = threading.Lock()
-_idle_pools: "dict[tuple, _IdlePool]" = {}
+_idle_pools: "dict[tuple, list[_IdlePool]]" = {}
 _park_tokens = itertools.count()
 
 
@@ -590,29 +694,36 @@ def _release(hold_fd: "int | None") -> None:
         os.close(hold_fd)
 
 
-def _lease_pool(key: tuple):
-    """Take the parked pool for ``key`` out of its slot, or ``None``."""
+def _has_parked(key: tuple) -> bool:
     with _idle_lock:
-        parked = _idle_pools.pop(key, None)
-    if parked is None:
-        return None
-    parked.timer.cancel()
-    _release(parked.hold_fd)
-    if _usable(parked.pool):
-        return parked.pool
-    _kill(parked.pool)
-    return None
+        return bool(_idle_pools.get(key))
 
 
-def _park_pool(key: tuple, pool) -> bool:
+def _lease_pool(key: tuple):
+    """Take the most recently parked usable pool for ``key``, or ``None``."""
+    while True:
+        with _idle_lock:
+            slots = _idle_pools.get(key)
+            if not slots:
+                return None
+            parked = slots.pop()
+            if not slots:
+                del _idle_pools[key]
+        parked.timer.cancel()
+        _release(parked.hold_fd)
+        if _usable(parked.pool):
+            return parked.pool
+        _kill(parked.pool)
+
+
+def _park_pool(key: tuple, pool) -> None:
     """Park an idle pool for the next map with ``key``.
 
-    Returns ``False`` (the caller then kills the pool) when the slot is
-    already taken by a concurrent map's pool.
+    A key's pools are only ever started by maps that found none parked,
+    so it never holds more than one pool per map that ran at once; each
+    retires on its own idle timer.
     """
     with _idle_lock:
-        if key in _idle_pools:
-            return False
         token = next(_park_tokens)
         # The timer carries (key, token), never the pool: the slot is the
         # pool's only owner, and a lease that empties it leaves the timer
@@ -621,18 +732,20 @@ def _park_pool(key: tuple, pool) -> bool:
         timer.daemon = True
         _pid, _workers, method, _config = key
         hold_fd = _hold_forkserver() if method == "forkserver" else None
-        _idle_pools[key] = _IdlePool(pool, timer, token, hold_fd)
+        _idle_pools.setdefault(key, []).append(_IdlePool(pool, timer, token, hold_fd))
         timer.start()
-    return True
 
 
 def _retire_pool(key: tuple, token: int) -> None:
     """Shut down the parked pool ``token`` if no map has leased it since."""
     with _idle_lock:
-        parked = _idle_pools.get(key)
-        if parked is None or parked.token != token:
+        slots = _idle_pools.get(key, [])
+        parked = next((idle for idle in slots if idle.token == token), None)
+        if parked is None:
             return
-        del _idle_pools[key]
+        slots.remove(parked)
+        if not slots:
+            del _idle_pools[key]
     # A graceful shutdown joins the pool's manager thread and frees its
     # queues, which unregisters their named semaphores; only then may the
     # forkserver (and a resource tracker stopped after it) go.
@@ -650,7 +763,9 @@ def _retire_all() -> None:
     teardown, when ``concurrent.futures`` can no longer run its callbacks.
     """
     with _idle_lock:
-        parked = [(key, idle.token) for key, idle in _idle_pools.items()]
+        parked = [
+            (key, idle.token) for key, slots in _idle_pools.items() for idle in slots
+        ]
     for key, token in parked:
         _retire_pool(key, token)
 
@@ -660,32 +775,36 @@ class _PoolRunner:
 
     Owns the retry/rebuild/timeout state machine described in the module
     docstring, and the pool it leased or started until ``run()`` parks
-    or kills it.  ``run()`` returns ``(per-trial results, timings)`` or
+    or kills it.  ``run()`` runs ``chunks[first:]``, appends their
+    timings to ``timings`` and returns their per-trial results, or
     raises :class:`ExecutorError`; completed chunks are never recomputed
-    across retries or rebuilds.
+    across retries or rebuilds.  ``warm`` tells whether it leased a
+    parked pool.
     """
 
     def __init__(
-        self, chunk_fn, payload, spec, chunks, plan, workers, observer: _ExecutionObserver
+        self, chunk_fn, payload, spec, chunks, plan, key, observer: _ExecutionObserver,
+        timings: "list[ChunkTiming]", first: int = 0,
     ):
         self.chunk_fn = chunk_fn
         self.payload = payload
         self.spec = spec
         self.chunks = chunks
+        self.numbers = range(first, len(chunks))
         self.plan = plan
-        self.workers = workers
         self.observer = observer
         self.attempts = [0] * len(chunks)  # failed attempts charged per chunk
         self.completed: "dict[int, list]" = {}
-        self.timings: "list[ChunkTiming]" = []
+        self.timings = timings
         self.exhausted: "dict[int, ChunkFailure]" = {}
         self.pool_breaks = 0
         self.pool = None
+        self.warm = False
         self.pending: "dict[Any, int]" = {}  # future -> chunk number
         self.deadlines: "dict[Any, float]" = {}  # future -> monotonic deadline
-        self.method = _start_method()
+        self.key = key
+        _pid, self.workers, self.method, _config = key
         self.worker_config = obs.worker_config()
-        self.key = _pool_key(workers, self.method, self.worker_config)
 
     # -- pool lifecycle ------------------------------------------------------
 
@@ -702,6 +821,7 @@ class _PoolRunner:
 
     def _acquire_pool(self) -> None:
         self.pool = _lease_pool(self.key)
+        self.warm = self.pool is not None
         if self.pool is None:
             self.pool = self._make_pool()
         else:
@@ -841,11 +961,11 @@ class _PoolRunner:
             if number not in self.exhausted:
                 self._submit(number)
 
-    def run(self) -> "tuple[list, list[ChunkTiming]]":
+    def run(self) -> list:
         self._acquire_pool()
         clean = False
         try:
-            for number in range(len(self.chunks)):
+            for number in self.numbers:
                 self._submit(number)
             while self.pending:
                 self._drain_once()
@@ -857,14 +977,200 @@ class _PoolRunner:
             # Only a pool that ends with nothing pending and nothing
             # exhausted is parked; a killed-and-rebuilt pool's successor
             # is clean, its stuck predecessor is long gone.
-            if clean and _park_pool(self.key, self.pool):
+            if clean:
+                _park_pool(self.key, self.pool)
                 self.pool = None
             else:
                 self._kill_pool()
         results: "list" = []
-        for number in range(len(self.chunks)):
+        for number in self.numbers:
             results.extend(self.completed[number])
-        return results, self.timings
+        return results
+
+
+def _cost_key(chunk_fn, payload) -> tuple:
+    """The chunk function plus the payload's leading type.
+
+    A leading function or class stands for itself, so a sweep's chunk
+    keeps one estimate per module-level ``evaluate``.
+    """
+    lead = payload[0] if isinstance(payload, tuple) and payload else payload
+    if not isinstance(lead, (type, types.FunctionType)):
+        lead = type(lead)
+    return (chunk_fn, lead)
+
+
+class _CostModel:
+    """The measured costs behind ``map_trials``' backend choice.
+
+    One per process, thread-safe.  ``trial_s`` holds each cost key's
+    seconds per trial and whether they were measured in this process:
+    a pool worker's chunk seconds include its share of contention for
+    the cores, so they overstate what the trial costs in-process, and
+    once in-process seconds exist a pool map only lowers them.
+    ``pool_s`` holds, per ``(pool key, warm)``, the latest pool run's
+    effective ``(per-map overhead, per-chunk dispatch)`` seconds: its
+    wall time minus ``n·τ/workers``, where warm means a parked pool was
+    leased.  Only maps without a retry, rebuild or timeout feed it; a
+    cost key that had one lands in ``faulted`` and always runs on the
+    pool.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.trial_s: "dict[tuple, tuple[float, bool]]" = {}
+        self.pool_s: "dict[tuple, tuple[float, float]]" = {}
+        self.faulted: "set[tuple]" = set()
+
+    def reset(self) -> None:
+        """Forget every estimate (a fresh process's state)."""
+        with self.lock:
+            self.trial_s.clear()
+            self.pool_s.clear()
+            self.faulted.clear()
+
+    def _estimates(self, cost_key: tuple, pool_key: tuple):
+        warm = _has_parked(pool_key)
+        with self.lock:
+            return self.trial_s.get(cost_key), self.pool_s.get((pool_key, warm))
+
+    def chunk_size(self, cost_key: tuple, pool_key: tuple, num_trials: int) -> int:
+        """Chunks coarse enough that dispatch is at most
+        :data:`DISPATCH_SHARE` of each, never finer than the default and
+        never fewer than the pool's workers."""
+        workers = pool_key[1]
+        size = _default_chunk_size(num_trials, workers)
+        trial, pool_s = self._estimates(cost_key, pool_key)
+        if trial and trial[0] and pool_s:
+            wanted = math.ceil(pool_s[1] / (DISPATCH_SHARE * trial[0]))
+            size = max(size, min(wanted, num_trials // workers))
+        return size
+
+    def choose(
+        self, cost_key: tuple, pool_key: tuple, num_trials: int, plan: ExecutionPlan
+    ) -> "float | None":
+        """The pool overhead an in-process run beats, or ``None`` for the pool.
+
+        In-process when ``n·τ <= n·τ/workers + overhead``; a pool of one
+        worker never beats it.  A key whose ``τ`` was only measured in
+        pool workers also starts in-process, so its first chunk measures
+        ``τ`` here and escalation decides the rest.  The pool whenever a
+        deadline needs a worker process, the key once had a fault, or an
+        estimate is missing.
+        """
+        if plan.chunk_timeout_s is not None:
+            return None
+        with self.lock:
+            if cost_key in self.faulted:
+                return None
+        workers = pool_key[1]
+        if workers == 1:
+            return 0.0
+        trial, pool_s = self._estimates(cost_key, pool_key)
+        if trial is None or pool_s is None:
+            return None
+        (trial_s, measured_here), overhead_s = trial, pool_s[0]
+        serial_s = num_trials * trial_s
+        if not measured_here or serial_s <= serial_s / workers + overhead_s:
+            return overhead_s
+        return None
+
+    def record(
+        self,
+        cost_key: tuple,
+        observer: "_ExecutionObserver",
+        timings: "list[ChunkTiming]",
+        ran_here: int,
+        pool: "tuple[tuple, bool, float, int] | None" = None,
+    ) -> None:
+        """Learn from a finished map whose first ``ran_here`` chunks ran
+        in-process; ``pool`` is ``(pool key, warm, wall seconds,
+        workers)`` of the pool run of the others."""
+        with self.lock:
+            if observer.retries or observer.pool_rebuilds or observer.timeouts:
+                self.faulted.add(cost_key)
+                return
+            here, there = timings[:ran_here], timings[ran_here:]
+            if here:
+                trial = (_per_trial(here), True)
+            else:
+                trial = (_per_trial(there), False)
+                known = self.trial_s.get(cost_key)
+                # Sharing the cores slows a worker's trial by less than
+                # ``2·workers``; a larger gap means the key's work grew,
+                # and the next map measures it in-process again.
+                if known is not None and trial[0] <= 2 * pool[3] * known[0]:
+                    trial = (min(known[0], trial[0]), known[1])
+            self.trial_s[cost_key] = trial
+            if pool is not None:
+                pool_key, warm, wall_s, workers = pool
+                trials = sum(timing.num_trials for timing in there)
+                overhead_s = max(0.0, wall_s - trials * trial[0] / workers)
+                self.pool_s[(pool_key, warm)] = (overhead_s, overhead_s / len(there))
+
+    def fault(self, cost_key: tuple) -> None:
+        with self.lock:
+            self.faulted.add(cost_key)
+
+
+def _per_trial(timings: "list[ChunkTiming]") -> float:
+    return sum(t.seconds for t in timings) / sum(t.num_trials for t in timings)
+
+
+_costs = _CostModel()
+
+
+def _run_costed(
+    chunk_fn, payload, spec, chunks, plan, cost_key, pool_key, overhead_s,
+    observer, timings,
+) -> "tuple[str, list, int, int]":
+    """A ``workers > 1`` map under the cost model.
+
+    ``overhead_s`` is :meth:`_CostModel.choose`'s answer: ``None`` runs
+    on the pool; a number runs in-process and escalates to the pool once
+    the measured remaining work outweighs that pool overhead.  Returns
+    ``(backend, results, first chunk still to run in-process, pool
+    workers used)``; the last chunks are left to the caller only when
+    the pool could not be started.
+    """
+    results: "list" = []
+    first, backend = 0, "process"
+    workers = pool_key[1]
+    if overhead_s is not None:
+        observer.ran_in_process()
+        results, first = _run_in_process(
+            chunk_fn, payload, spec, chunks, plan, observer, timings,
+            backend="inprocess",
+            escalate=lambda trial_s, left, chunks_left: (
+                left * trial_s * (1 - 1 / min(workers, chunks_left)) > overhead_s
+                and _is_picklable(chunk_fn, payload, spec)
+            ),
+        )
+        if first == len(chunks):
+            _costs.record(cost_key, observer, timings, len(timings))
+            return "inprocess", results, first, 1
+        observer.escalated()
+        backend = "escalated"
+    ran_here = len(timings)
+    runner = _PoolRunner(
+        chunk_fn, payload, spec, chunks, plan, pool_key, observer, timings, first
+    )
+    pool_started = time.perf_counter()
+    try:
+        results += runner.run()
+    except (OSError, ImportError, PermissionError) as error:
+        # Pool creation refused (sandbox, missing semaphores): the caller
+        # runs the rest in-process.  The observer keeps any events from a
+        # partial pool run for transparency.
+        del timings[ran_here:]
+        return f"serial-fallback:{type(error).__name__}", results, first, 1
+    pool_wall_s = time.perf_counter() - pool_started
+    busy = min(workers, len(chunks) - first)
+    _costs.record(
+        cost_key, observer, timings, ran_here,
+        pool=(pool_key, runner.warm, pool_wall_s, busy),
+    )
+    return backend, results, len(chunks), workers
 
 
 def map_trials(
@@ -892,6 +1198,9 @@ def map_trials(
     driver's incremental rounds) produces bit-identical per-trial
     results.
 
+    A ``workers > 1`` plan runs in-process, on the pool, or begun
+    in-process and escalated to the pool, as the measured cost model
+    (module docstring) decides; ``ExecutionReport.backend`` says which.
     Falls back to the serial backend (noted in the report) when the
     payload is unpicklable or the platform refuses to give us a pool, so
     callers never have to special-case restricted environments.  Worker
@@ -908,34 +1217,49 @@ def map_trials(
     spec = SeedSpec.from_rng(rng)
     chunk_size = plan.resolved_chunk_size(num_trials)
     chunks = chunk_indices(num_trials, chunk_size, start_trial)
-    workers = min(plan.workers, max(1, len(chunks)))
+    workers = min(plan.workers, _usable_cores(), max(1, len(chunks)))
+    parallel = plan.workers > 1 and len(chunks) > 1
+    cost_key = overhead_s = None
+    if parallel:
+        cost_key = _cost_key(chunk_fn, payload)
+        pool_key = _pool_key(workers, _start_method(), obs.worker_config())
+        overhead_s = _costs.choose(cost_key, pool_key, num_trials, plan)
+        # Pickling is checked only where a pool will run chunks: an
+        # in-process map checks it before it escalates.
+        if overhead_s is None and not _is_picklable(chunk_fn, payload, spec):
+            cost_key = None
+        elif plan.chunk_size is None:
+            chunk_size = _costs.chunk_size(cost_key, pool_key, num_trials)
+            chunks = chunk_indices(num_trials, chunk_size, start_trial)
 
     started = time.perf_counter()
-    backend = "serial"
     observer = _ExecutionObserver()
+    timings: "list[ChunkTiming]" = []
     obs.log(
         "executor.map.start",
         trials=num_trials,
         chunks=len(chunks),
         workers=workers,
+        requested_workers=plan.workers,
         chunk_size=chunk_size,
     )
-    if workers > 1:
-        if not _is_picklable(chunk_fn, payload, spec):
-            backend = "serial-fallback:unpicklable"
-        else:
-            try:
-                results, timings = _PoolRunner(
-                    chunk_fn, payload, spec, chunks, plan, workers, observer
-                ).run()
-                backend = "process"
-            except (OSError, ImportError, PermissionError) as error:
-                # Pool creation refused (sandbox, missing semaphores):
-                # recompute everything serially.  The observer keeps any
-                # events from a partial pool run for transparency.
-                backend = f"serial-fallback:{type(error).__name__}"
-    if backend != "process":
-        results, timings = _run_serial(chunk_fn, payload, spec, chunks, plan, observer)
+    results: "list" = []
+    first, pool_workers = 0, 1
+    backend = "serial-fallback:unpicklable" if parallel else "serial"
+    if cost_key is not None:
+        try:
+            backend, results, first, pool_workers = _run_costed(
+                chunk_fn, payload, spec, chunks, plan, cost_key, pool_key,
+                overhead_s, observer, timings,
+            )
+        except ExecutorError:
+            _costs.fault(cost_key)
+            raise
+    if first < len(chunks):
+        rest, _ = _run_in_process(
+            chunk_fn, payload, spec, chunks, plan, observer, timings, first=first
+        )
+        results += rest
     total_seconds = time.perf_counter() - started
     obs.log(
         "executor.map.done",
@@ -948,7 +1272,7 @@ def map_trials(
     )
     report = ExecutionReport(
         backend=backend,
-        workers=workers if backend == "process" else 1,
+        workers=pool_workers,
         chunk_size=chunk_size,
         num_trials=num_trials,
         chunks=timings,
@@ -957,6 +1281,7 @@ def map_trials(
         pool_rebuilds=observer.pool_rebuilds,
         timeouts=observer.timeouts,
         fault_events=observer.events,
+        requested_workers=plan.workers,
     )
     _obs_manifest.note_execution(report)
     return results, report

@@ -39,6 +39,21 @@ def _obs_isolation():
     runtime.configure_from_env()
 
 
+@pytest.fixture(autouse=True)
+def _fresh_cost_model():
+    """Start every test with no executor cost estimates.
+
+    The executor learns per-process costs and then runs cheap
+    ``workers > 1`` maps in-process.  A fresh model sends each test's
+    first map of a chunk function to the pool, so fault tests keep their
+    crash isolation whatever ran before them.
+    """
+    from repro.sim import executor
+
+    executor._costs.reset()
+    yield
+
+
 @pytest.fixture(scope="session")
 def decoder_design() -> DecoderDesign:
     """The paper's 45-inch delay-line difference."""

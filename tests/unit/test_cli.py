@@ -490,6 +490,22 @@ class TestObservabilityFlags:
         assert "engine.downlink.sync_failures" in pooled
         assert pooled == counters(1)
 
+    def test_profile_lists_only_its_own_run(self):
+        """A second in-process run's table does not list the first's."""
+
+        def table(workers):
+            code, text = run_cli(
+                ["ber", "--frames", "8", "--seed", "0", "--profile",
+                 "--workers", str(workers)]
+            )
+            assert code == 0
+            return text.split("profile [", 1)[1]
+
+        assert "executor.pool.starts" in table(2)
+        second = table(1)
+        assert "executor.pool.starts" not in second
+        assert "executor.trials.completed" in second
+
     def test_log_json_emits_json_lines(self, capsys):
         import json
 

@@ -309,14 +309,37 @@ class TestSeedSpec:
             SeedSpec.from_rng(0).child(-1)
 
 
-def _parked(workers=2):
-    """``(pool, worker pids)`` parked for a default plan, or ``None``."""
+def _all_parked(workers=2):
+    """``[(pool, worker pids)]`` parked for a default plan, oldest first."""
     key = executor._pool_key(
         workers, executor._start_method(), obs.worker_config()
     )
     with executor._idle_lock:
-        parked = executor._idle_pools.get(key)
-        return None if parked is None else (parked.pool, set(parked.pool._processes))
+        return [
+            (idle.pool, set(idle.pool._processes))
+            for idle in executor._idle_pools.get(key, [])
+        ]
+
+
+def _parked(workers=2):
+    """The pool the next default-plan map would lease, or ``None``."""
+    parked = _all_parked(workers)
+    return parked[-1] if parked else None
+
+
+@pytest.fixture()
+def obs_run(tmp_path):
+    """Telemetry on (workers join the run), so executor counters count."""
+    return obs.configure(
+        log_format="json", log_file=str(tmp_path / "run.log"), export_env=True
+    )
+
+
+@pytest.fixture()
+def pool_only(monkeypatch):
+    """Send every ``workers > 1`` map to the pool, whatever the cost
+    model has measured: these tests exercise the pool itself."""
+    monkeypatch.setattr(executor._costs, "choose", lambda *args: None)
 
 
 def _wait_retired():
@@ -368,6 +391,7 @@ if __name__ == "__main__":
 """
 
 
+@pytest.mark.usefixtures("pool_only")
 class TestPoolLease:
     def test_back_to_back_maps_share_workers(self):
         plan = ExecutionPlan(workers=2, chunk_size=1)
@@ -399,10 +423,40 @@ class TestPoolLease:
             assert [value for _, value in outcome] == serial
         used = [{pid for pid, _ in outcome} for outcome in outcomes]
         assert used[0].isdisjoint(used[1])
-        # One pool is parked for the key; the other map's pool was killed.
-        _, workers = _parked()
-        [kept] = [slot for slot in range(2) if used[slot] <= workers]
-        assert all(_gone(pid) for pid in used[1 - kept])
+        # Both pools are parked for the key, each with its own workers.
+        parked = [workers for _, workers in _all_parked()]
+        assert len(parked) == 2
+        assert all(any(pids <= workers for workers in parked) for pids in used)
+
+    def test_concurrent_maps_keep_warm_pools(self, obs_run):
+        """Two threads mapping at once start two pools and then only
+        lease them, where one parking slot per key made every second
+        map start a pool."""
+        plan = ExecutionPlan(workers=2, chunk_size=1)
+        serial, _ = map_trials(_echo_chunk, None, 4, rng=5)
+        barrier = threading.Barrier(2)
+        failures = []
+
+        def run():
+            try:
+                barrier.wait()
+                for _ in range(10):
+                    outcome, report = map_trials(_pid_chunk, 0.01, 4, rng=5, plan=plan)
+                    assert report.backend == "process"
+                    assert [value for _, value in outcome] == serial
+            except Exception as error:  # surfaced by the assertion below
+                failures.append(error)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert failures == []
+        counters = obs.snapshot()["counters"]
+        assert counters["executor.pool.starts"] == 2
+        assert counters["executor.pool.reuses"] == 18
+        assert len(_all_parked()) == 2
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_threaded_maps_leak_no_workers(self):
@@ -486,3 +540,119 @@ class TestPoolLease:
         assert stderr == ""
         stop_s = float(stdout.strip().splitlines()[-1])
         assert stop_s < executor.POOL_IDLE_RETIRE_S + 5.0
+
+
+def _teach(payload=0.0, trials=8):
+    """Two clean ``_pid_chunk`` maps: the first runs on the pool and
+    measures it, so a cheap map then runs in-process while that pool is
+    parked."""
+    plan = ExecutionPlan(workers=2)
+    for _ in range(2):
+        map_trials(_pid_chunk, payload, trials, rng=2, plan=plan)
+
+
+class TestCostModel:
+    def test_cheap_map_runs_in_process_once_measured(self, obs_run):
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=2)
+        _teach()
+        values, report = map_trials(
+            _pid_chunk, 0.0, 8, rng=2, plan=ExecutionPlan(workers=2)
+        )
+        assert [value for _, value in values] == serial
+        assert {pid for pid, _ in values} == {os.getpid()}
+        assert report.backend == "inprocess"
+        assert (report.workers, report.requested_workers) == (1, 2)
+        assert obs.snapshot()["counters"]["executor.inprocess"] == 1
+
+    def test_heavy_chunk_after_cheap_estimate_escalates_after_one_chunk(self, obs_run):
+        serial, _ = map_trials(_echo_chunk, None, 16, rng=2)
+        _teach(trials=16)
+        values, report = map_trials(
+            _pid_chunk, 0.05, 16, rng=2, plan=ExecutionPlan(workers=2, chunk_size=2)
+        )
+        assert [value for _, value in values] == serial
+        assert report.backend == "escalated"
+        assert report.workers == 2
+        first = report.chunks[0].num_trials
+        here = [index for index, (pid, _) in enumerate(values) if pid == os.getpid()]
+        assert here == list(range(first)) == [0, 1]
+        assert sorted(chunk.start_index for chunk in report.chunks) == list(range(0, 16, 2))
+        assert obs.snapshot()["counters"]["executor.escalations"] == 1
+
+    def test_deadline_plan_always_uses_a_worker_process(self):
+        _teach()
+        _, report = map_trials(
+            _pid_chunk, 0.0, 8, rng=2,
+            plan=ExecutionPlan(workers=2, chunk_timeout_s=60.0),
+        )
+        assert report.backend == "process"
+
+    def test_cost_keys_follow_chunk_function_and_leading_type(self):
+        from repro.sim.sweep import _sweep_chunk
+
+        key = executor._cost_key
+        assert key(_sweep_chunk, (_noisy_eval, [1.0], [0])) != key(
+            _sweep_chunk, (_grid_eval, [1.0], [0])
+        )
+        assert key(_pid_chunk, 0.0) == key(_pid_chunk, 0.5)
+        assert key(_pid_chunk, 0.0) != key(_echo_chunk, 0.0)
+        assert key(_echo_chunk, None) != key(_echo_chunk, 0.0)
+
+    def test_results_bit_identical_across_routes(self, monkeypatch):
+        """In-process, pool and escalated runs of random maps agree with
+        a serial run bit for bit (the route is forced, not measured)."""
+        import random
+
+        choices = random.Random(23)
+        routes = {"pool": None, "inprocess": float("inf"), "escalated": 0.0}
+        for _ in range(4):
+            num_trials = choices.randint(2, 40)
+            chunk_size = choices.choice([None, 1, 2, 3, 7])
+            workers = choices.randint(2, 4)
+            start = choices.randint(0, 5)
+            serial, _ = map_trials(_echo_chunk, 0.0, num_trials + start, rng=11)
+            for route, overhead in routes.items():
+                monkeypatch.setattr(executor._costs, "choose", lambda *a, o=overhead: o)
+                values, report = map_trials(
+                    _echo_chunk, 0.0, num_trials, rng=11, start_trial=start,
+                    plan=ExecutionPlan(workers=workers, chunk_size=chunk_size),
+                )
+                where = (route, num_trials, chunk_size, workers, start)
+                assert values == serial[start:], where
+                if route == "pool":
+                    assert report.backend in ("process", "serial"), where
+                elif route == "inprocess" or len(report.chunks) < 3:
+                    assert report.backend in ("inprocess", "serial"), where
+                else:
+                    assert report.backend == "escalated", where
+
+
+class TestCoreCap:
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        serial, _ = map_trials(_echo_chunk, None, 16, rng=3)
+        values, report = map_trials(
+            _echo_chunk, None, 16, rng=3, plan=ExecutionPlan(workers=4)
+        )
+        assert values == serial
+        assert report.backend == "process"
+        assert (report.workers, report.requested_workers) == (2, 4)
+        meta = report.as_metadata()
+        assert (meta["workers"], meta["requested_workers"]) == (2, 4)
+
+    def test_one_usable_core_runs_in_process_unless_a_deadline_needs_a_worker(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=3)
+        values, report = map_trials(
+            _echo_chunk, None, 8, rng=3, plan=ExecutionPlan(workers=2)
+        )
+        assert values == serial
+        assert (report.backend, report.workers) == ("inprocess", 1)
+        values, report = map_trials(
+            _echo_chunk, None, 8, rng=3,
+            plan=ExecutionPlan(workers=2, chunk_timeout_s=60.0),
+        )
+        assert values == serial
+        assert (report.backend, report.workers) == ("process", 1)

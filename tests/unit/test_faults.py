@@ -206,11 +206,8 @@ class TestFaultRecovery:
         park, kill = executor._park_pool, executor._kill
 
         def recording_park(key, pool):
-            workers = set(pool._processes)
-            if not park(key, pool):
-                return False
-            parked.append(workers)
-            return True
+            parked.append(set(pool._processes))
+            park(key, pool)
 
         def recording_kill(pool):
             killed.append(set(pool._processes or {}))
@@ -235,7 +232,9 @@ class TestFaultRecovery:
         assert [value for _, value in again] == serial
         assert {pid for pid, _ in again}.isdisjoint(killed_workers)
 
-    def test_parked_pool_with_a_dead_worker_is_not_leased(self):
+    def test_parked_pool_with_a_dead_worker_is_not_leased(self, monkeypatch):
+        # The pool is the subject: no map may run in-process.
+        monkeypatch.setattr(executor._costs, "choose", lambda *args: None)
         serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
         plan = ExecutionPlan(workers=2, chunk_size=2)
         map_trials(_echo_chunk, None, 8, rng=9, plan=plan)
@@ -243,7 +242,7 @@ class TestFaultRecovery:
             2, executor._start_method(), obs.worker_config()
         )
         with executor._idle_lock:
-            victim = next(iter(executor._idle_pools[key].pool._processes))
+            victim = next(iter(executor._idle_pools[key][-1].pool._processes))
         os.kill(victim, signal.SIGKILL)
         assert _gone(victim)
         values, report = map_trials(_echo_chunk, None, 8, rng=9, plan=plan)
@@ -275,6 +274,87 @@ class TestFaultRecovery:
         assert report.pool_rebuilds == 0
         assert report.timeouts == 0
         assert report.fault_events == []
+
+
+def _teach(chunk_fn, payload):
+    """Two clean maps of ``chunk_fn``'s cost key: the first runs on the
+    pool and measures it, so a cheap map of the key then runs in-process
+    while that pool is parked."""
+    for _ in range(2):
+        map_trials(
+            chunk_fn, payload, 8, rng=9, plan=ExecutionPlan(workers=2, chunk_size=2)
+        )
+
+
+class TestInProcessFaults:
+    """Maps the cost model runs in-process keep the pool's retry
+    contract, and a cost key that once had a fault stays on the pool."""
+
+    def test_raise_is_retried_in_process_bit_exact(self, tmp_path):
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
+        _teach(_crash_once_chunk, (str(tmp_path / "unused.flag"), 99, "raise"))
+        flag = tmp_path / "raise.flag"
+        plan = ExecutionPlan(workers=2, chunk_size=2)
+        values, report = map_trials(
+            _crash_once_chunk, (str(flag), 3, "raise"), 8, rng=9, plan=plan
+        )
+        assert values == serial
+        assert report.backend == "inprocess"
+        assert report.retries == 1
+        assert [event["kind"] for event in report.fault_events] == ["raise"]
+        assert flag.exists()
+        # The key had a retry: it never runs in-process again.
+        for _ in range(2):
+            again, report = map_trials(
+                _crash_once_chunk, (str(flag), 3, "raise"), 8, rng=9, plan=plan
+            )
+            assert again == serial
+            assert report.backend == "process"
+
+    def test_in_process_retry_exhaustion_raises_executor_error(self):
+        _teach(_always_raise_chunk, 99)
+        plan = ExecutionPlan(workers=2, chunk_size=3, max_retries=1)
+        with pytest.raises(ExecutorError) as excinfo:
+            map_trials(_always_raise_chunk, 5, 12, rng=0, plan=plan)
+        error = excinfo.value
+        assert error.failing_indices == [3, 4, 5]
+        assert [f.attempts for f in error.failures] == [2]  # 1 + max_retries
+        assert error.failures[0].kind == "raise"
+        _, report = map_trials(_always_raise_chunk, 99, 8, rng=0, plan=plan)
+        assert report.backend == "process"
+
+    def test_pool_rebuild_pins_the_key_to_the_pool(self, tmp_path):
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
+        flag = tmp_path / "exit.flag"
+        plan = ExecutionPlan(workers=2, chunk_size=2)
+        values, report = map_trials(
+            _crash_once_chunk, (str(flag), 3, "exit"), 8, rng=9, plan=plan
+        )
+        assert values == serial
+        assert report.pool_rebuilds >= 1
+        # Clean, cheap and measured now, but never run in-process.
+        for _ in range(3):
+            again, report = map_trials(
+                _crash_once_chunk, (str(flag), 3, "exit"), 8, rng=9, plan=plan
+            )
+            assert again == serial
+            assert report.backend == "process"
+
+    def test_timeout_pins_the_key_to_the_pool(self, tmp_path):
+        serial, _ = map_trials(_echo_chunk, None, 8, rng=9)
+        payload = (str(tmp_path / "slow.flag"), 2)
+        _, report = map_trials(
+            _slow_once_chunk, payload, 8, rng=9,
+            plan=ExecutionPlan(workers=2, chunk_size=2, chunk_timeout_s=3.0),
+        )
+        assert report.timeouts >= 1
+        for _ in range(3):
+            values, report = map_trials(
+                _slow_once_chunk, payload, 8, rng=9,
+                plan=ExecutionPlan(workers=2, chunk_size=2),
+            )
+            assert values == serial
+            assert report.backend == "process"
 
 
 class TestSweepFaultRecovery:

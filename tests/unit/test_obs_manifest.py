@@ -116,6 +116,18 @@ class TestHooks:
         assert data["execution"]["chunks"] == 3
         assert data["execution"]["faults"]["retries"] == 0
 
+    def test_records_requested_and_effective_workers(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.sim.executor import ExecutionPlan, map_trials
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        recorder = manifest.begin(tmp_path, command="test")
+        map_trials(_double_chunk, None, 16, 0, ExecutionPlan(workers=4))
+        manifest.finalize(0)
+        data = manifest.load(tmp_path, recorder.run_id)
+        assert data["execution"]["workers"] == {"requested": 4, "effective": 2}
+
     def test_store_traffic_and_fingerprints_recorded(self, tmp_path):
         from repro.store import ExperimentStore
 
