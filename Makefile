@@ -14,8 +14,12 @@ test:
 lint:
 	ruff check .
 
+# BLAS threads pinned to one, as CI and perfbench run: unpinned, every
+# pool worker's BLAS threads compete for the same cores, and
+# bench_executor_scaling refuses to time its sweep speedup.
 bench:
-	$(PYTHONPATH_SRC) python -m pytest benchmarks/ --benchmark-only
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 $(PYTHONPATH_SRC) \
+		python -m pytest benchmarks/ --benchmark-only
 
 examples:
 	@for script in examples/*.py; do \

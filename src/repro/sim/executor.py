@@ -67,20 +67,20 @@ more workers than the cores this process may run on.
 that ran without a fault: the per-trial seconds of each *cost key* (the
 chunk function plus the payload's leading type), preferably measured
 in-process, and the pool's effective per-map overhead (wall time minus
-the in-process cost of its trials spread over the workers, kept apart
-for warm and newly started pools).  A ``workers > 1`` map runs
-in-process when its estimated serial time is no more than its
-estimated pool time, and otherwise on the pool; either way in chunks
-coarse enough that dispatch stays a small share of each.  A map with no
-estimate yet runs on the pool as before and takes the measurement; a
-key measured only in pool workers next starts in-process to measure
-itself there.  An in-process map re-checks after every chunk with the
-time it measured, and sends the remaining chunks to the pool once they
-are worth it, so a wrong estimate costs at most one chunk.  In-process
-maps retry a raising chunk like the pool does, but a chunk that kills
-the process kills the caller: a plan with ``chunk_timeout_s`` (a
-deadline needs a worker process) and a cost key that once needed a
-retry, rebuild or timeout always use the pool.
+the in-process cost of its trials spread over the workers, measured on
+warm pools only).  A ``workers > 1`` map runs in-process when its
+estimated serial time is no more than its estimated pool time on a warm
+pool, and otherwise on the pool, starting one if none is parked; either
+way in chunks coarse enough that dispatch stays a small share of each.
+A map with no estimate yet runs on the pool as before and takes the
+measurement; a key measured only in pool workers next starts in-process
+to measure itself there.  An in-process map re-checks after every chunk
+with the time it measured, and sends the remaining chunks to the pool
+once they are worth it, so a cost estimate that is too low costs at most
+one chunk.  In-process maps retry a raising chunk like the pool does,
+but a chunk that kills the process kills the caller: a plan with
+``chunk_timeout_s`` (a deadline needs a worker process) and a cost key
+that once needed a retry, rebuild or timeout always use the pool.
 """
 
 from __future__ import annotations
@@ -694,11 +694,6 @@ def _release(hold_fd: "int | None") -> None:
         os.close(hold_fd)
 
 
-def _has_parked(key: tuple) -> bool:
-    with _idle_lock:
-        return bool(_idle_pools.get(key))
-
-
 def _lease_pool(key: tuple):
     """Take the most recently parked usable pool for ``key``, or ``None``."""
     while True:
@@ -1008,18 +1003,25 @@ class _CostModel:
     a pool worker's chunk seconds include its share of contention for
     the cores, so they overstate what the trial costs in-process, and
     once in-process seconds exist a pool map only lowers them.
-    ``pool_s`` holds, per ``(pool key, warm)``, the latest pool run's
-    effective ``(per-map overhead, per-chunk dispatch)`` seconds: its
-    wall time minus ``n·τ/workers``, where warm means a parked pool was
-    leased.  Only maps without a retry, rebuild or timeout feed it; a
-    cost key that had one lands in ``faulted`` and always runs on the
-    pool.
+    ``pool_s`` holds, per pool key, the latest effective ``(per-map
+    overhead, per-chunk dispatch)`` seconds of a map that leased a
+    parked pool: its wall time minus ``n·τ/workers``.  A newly started
+    pool is not measured: its start is paid once per pool, not per map,
+    and a heavy key whose pool had retired would stay in-process behind
+    it.  Nor is a cost key's first map on a pool: its workers import the
+    payload's modules as they unpickle it, outside the chunk timings, a
+    one-time cost (89 ms for a benchmark sweep under pytest, against
+    1-3 ms of warm overhead) that would otherwise keep heavy maps
+    in-process.  ``pooled`` holds the keys that ran on a pool.  Only
+    maps without a retry, rebuild or timeout feed the model; a cost key
+    that had one lands in ``faulted`` and always runs on the pool.
     """
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.trial_s: "dict[tuple, tuple[float, bool]]" = {}
         self.pool_s: "dict[tuple, tuple[float, float]]" = {}
+        self.pooled: "set[tuple]" = set()
         self.faulted: "set[tuple]" = set()
 
     def reset(self) -> None:
@@ -1027,23 +1029,24 @@ class _CostModel:
         with self.lock:
             self.trial_s.clear()
             self.pool_s.clear()
+            self.pooled.clear()
             self.faulted.clear()
 
     def _estimates(self, cost_key: tuple, pool_key: tuple):
-        warm = _has_parked(pool_key)
         with self.lock:
-            return self.trial_s.get(cost_key), self.pool_s.get((pool_key, warm))
+            return self.trial_s.get(cost_key), self.pool_s.get(pool_key)
 
     def chunk_size(self, cost_key: tuple, pool_key: tuple, num_trials: int) -> int:
         """Chunks coarse enough that dispatch is at most
         :data:`DISPATCH_SHARE` of each, never finer than the default and
-        never fewer than the pool's workers."""
+        never fewer than two per worker, so a map begun in-process still
+        has a chunk for every worker when it escalates after its first."""
         workers = pool_key[1]
         size = _default_chunk_size(num_trials, workers)
         trial, pool_s = self._estimates(cost_key, pool_key)
         if trial and trial[0] and pool_s:
             wanted = math.ceil(pool_s[1] / (DISPATCH_SHARE * trial[0]))
-            size = max(size, min(wanted, num_trials // workers))
+            size = max(size, min(wanted, num_trials // (2 * workers)))
         return size
 
     def choose(
@@ -1104,9 +1107,12 @@ class _CostModel:
             self.trial_s[cost_key] = trial
             if pool is not None:
                 pool_key, warm, wall_s, workers = pool
-                trials = sum(timing.num_trials for timing in there)
-                overhead_s = max(0.0, wall_s - trials * trial[0] / workers)
-                self.pool_s[(pool_key, warm)] = (overhead_s, overhead_s / len(there))
+                measured = warm and cost_key in self.pooled
+                self.pooled.add(cost_key)
+                if measured:
+                    trials = sum(timing.num_trials for timing in there)
+                    overhead_s = max(0.0, wall_s - trials * trial[0] / workers)
+                    self.pool_s[pool_key] = (overhead_s, overhead_s / len(there))
 
     def fault(self, cost_key: tuple) -> None:
         with self.lock:
@@ -1228,7 +1234,8 @@ def map_trials(
         # in-process map checks it before it escalates.
         if overhead_s is None and not _is_picklable(chunk_fn, payload, spec):
             cost_key = None
-        elif plan.chunk_size is None:
+        elif plan.chunk_size is None and plan.chunk_timeout_s is None:
+            # A deadline is per chunk, so a deadline plan keeps its chunks.
             chunk_size = _costs.chunk_size(cost_key, pool_key, num_trials)
             chunks = chunk_indices(num_trials, chunk_size, start_trial)
 

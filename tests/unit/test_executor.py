@@ -579,6 +579,39 @@ class TestCostModel:
         assert sorted(chunk.start_index for chunk in report.chunks) == list(range(0, 16, 2))
         assert obs.snapshot()["counters"]["executor.escalations"] == 1
 
+    def test_heavy_map_escalates_with_default_chunks(self, monkeypatch):
+        """Coarsened chunks leave a chunk for each worker after the first,
+        so a heavy map begun in-process still reaches the pool."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        serial, _ = map_trials(_echo_chunk, None, 16, rng=2)
+        _teach(trials=16)
+        plan = ExecutionPlan(workers=2)
+        _, report = map_trials(_pid_chunk, 0.0, 16, rng=2, plan=plan)
+        assert report.backend == "inprocess"
+        values, report = map_trials(_pid_chunk, 0.05, 16, rng=2, plan=plan)
+        assert [value for _, value in values] == serial
+        assert report.backend == "escalated"
+        assert len(report.chunks) >= 4
+        first = report.chunks[0].num_trials
+        here = [index for index, (pid, _) in enumerate(values) if pid == os.getpid()]
+        assert here == list(range(first))
+
+    def test_only_a_keys_later_maps_on_a_warm_pool_measure_overhead(
+        self, monkeypatch
+    ):
+        """A new pool pays its start once, and a key's first map on a
+        pool pays its workers' imports outside the chunk timings."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        plan = ExecutionPlan(workers=2)
+
+        map_trials(_echo_chunk, None, 8, rng=2, plan=plan)  # starts the pool
+        _, report = map_trials(_pid_chunk, 0.0, 8, rng=2, plan=plan)
+        assert report.backend == "process"
+        assert executor._costs.pool_s == {}
+        _, report = map_trials(_pid_chunk, 0.0, 8, rng=2, plan=plan)
+        assert report.backend == "process"
+        assert len(executor._costs.pool_s) == 1
+
     def test_deadline_plan_always_uses_a_worker_process(self):
         _teach()
         _, report = map_trials(
@@ -656,3 +689,13 @@ class TestCoreCap:
         )
         assert values == serial
         assert (report.backend, report.workers) == ("process", 1)
+
+    def test_deadline_plan_keeps_default_chunks(self, monkeypatch):
+        """A deadline is per chunk, so the cost model never coarsens a
+        deadline plan's chunks: ``ceil(n / (4 * plan.workers))``."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        plan = ExecutionPlan(workers=2, chunk_timeout_s=60.0)
+        for _ in range(3):
+            _, report = map_trials(_echo_chunk, None, 8, rng=3, plan=plan)
+            assert report.backend == "process"
+            assert (report.chunk_size, len(report.chunks)) == (1, 8)
