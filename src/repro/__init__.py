@@ -18,23 +18,7 @@ Quick tour of the public API::
 See ``examples/quickstart.py`` for a runnable end-to-end exchange.
 """
 
-from repro.core import (
-    CsskAlphabet,
-    DecoderDesign,
-    DownlinkEncoder,
-    DownlinkPacket,
-    IsacSession,
-    MultiTagNetwork,
-    TagLocalizer,
-    UplinkDecoder,
-    bit_error_rate,
-    random_bits,
-)
-from repro.channel import DownlinkBudget, UplinkBudget
-from repro.radar import FMCWRadar, RadarConfig, TINYRAD_24GHZ, XBAND_9GHZ, AUTOMOTIVE_77GHZ
-from repro.tag import BiScatterTag, TagDecoder, TagPowerModel, UplinkModulator
-from repro.sim import Scenario, default_office_scenario
-from repro.store import ExperimentStore
+from repro import _exports
 
 __version__ = "1.0.0"
 
@@ -65,3 +49,31 @@ __all__ = [
     "ExperimentStore",
     "__version__",
 ]
+
+_EXPORTS = {
+    "repro.core.cssk": ("CsskAlphabet", "DecoderDesign"),
+    "repro.core.downlink": ("DownlinkEncoder",),
+    "repro.core.packet": ("DownlinkPacket",),
+    "repro.core.isac": ("IsacSession",),
+    "repro.core.network": ("MultiTagNetwork",),
+    "repro.core.localization": ("TagLocalizer",),
+    "repro.core.uplink": ("UplinkDecoder",),
+    "repro.core.ber": ("bit_error_rate", "random_bits"),
+    "repro.channel.link_budget": ("DownlinkBudget", "UplinkBudget"),
+    "repro.radar.fmcw": ("FMCWRadar",),
+    "repro.radar.config": ("RadarConfig", "XBAND_9GHZ", "TINYRAD_24GHZ", "AUTOMOTIVE_77GHZ"),
+    "repro.tag.architecture": ("BiScatterTag",),
+    "repro.tag.decoder_dsp": ("TagDecoder",),
+    "repro.tag.power": ("TagPowerModel",),
+    "repro.tag.modulator": ("UplinkModulator",),
+    "repro.sim.scenario": ("Scenario", "default_office_scenario"),
+    "repro.store.cache": ("ExperimentStore",),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

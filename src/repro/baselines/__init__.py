@@ -1,10 +1,6 @@
 """Baseline systems the paper compares against (Table 1)."""
 
-from repro.baselines.base import SystemCapabilities
-from repro.baselines.millimetro import MillimetroSystem
-from repro.baselines.mmtag import MmTagSystem
-from repro.baselines.milback import MilBackSystem
-from repro.baselines.biscatter_entry import BiScatterSystem
+from repro import _exports
 
 __all__ = [
     "SystemCapabilities",
@@ -13,3 +9,19 @@ __all__ = [
     "MilBackSystem",
     "BiScatterSystem",
 ]
+
+_EXPORTS = {
+    "repro.baselines.base": ("SystemCapabilities",),
+    "repro.baselines.millimetro": ("MillimetroSystem",),
+    "repro.baselines.mmtag": ("MmTagSystem",),
+    "repro.baselines.milback": ("MilBackSystem",),
+    "repro.baselines.biscatter_entry": ("BiScatterSystem",),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

@@ -1,15 +1,6 @@
 """RF channel models: path loss, link budgets, noise, multipath, Doppler."""
 
-from repro.channel.propagation import (
-    free_space_path_loss_db,
-    one_way_received_power_dbm,
-    radar_received_power_dbm,
-)
-from repro.channel.link_budget import DownlinkBudget, UplinkBudget
-from repro.channel.two_ray import TwoRayDownlinkBudget, TwoRayGeometry
-from repro.channel.noise import NoiseModel, awgn, thermal_noise_power_dbm
-from repro.channel.multipath import Clutter, ClutterReflector
-from repro.channel.doppler import doppler_shift_hz, radial_velocity_phase
+from repro import _exports
 
 __all__ = [
     "free_space_path_loss_db",
@@ -27,3 +18,24 @@ __all__ = [
     "doppler_shift_hz",
     "radial_velocity_phase",
 ]
+
+_EXPORTS = {
+    "repro.channel.propagation": (
+        "free_space_path_loss_db",
+        "one_way_received_power_dbm",
+        "radar_received_power_dbm",
+    ),
+    "repro.channel.link_budget": ("DownlinkBudget", "UplinkBudget"),
+    "repro.channel.two_ray": ("TwoRayDownlinkBudget", "TwoRayGeometry"),
+    "repro.channel.noise": ("NoiseModel", "awgn", "thermal_noise_power_dbm"),
+    "repro.channel.multipath": ("Clutter", "ClutterReflector"),
+    "repro.channel.doppler": ("doppler_shift_hz", "radial_velocity_phase"),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

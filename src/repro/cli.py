@@ -64,8 +64,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 
 def _add_obs_options(parser) -> None:
     parser.add_argument(
@@ -642,6 +640,8 @@ def _run_ber(args, out) -> int:
 
 
 def _run_localize(args, out) -> int:
+    import numpy as np
+
     from repro.radar.config import XBAND_9GHZ
     from repro.sim.engine import run_localization_trials
     from repro.sim.scenario import default_office_scenario

@@ -7,15 +7,7 @@ delay line additionally exposes frequency-dependent S-parameters so the
 Fig. 10/11 benches can be regenerated.
 """
 
-from repro.components.base import TwoPortComponent, cascade_loss_db
-from repro.components.splitter import SplitterCombiner
-from repro.components.delay_line import CoaxialDelayLine, MeanderDelayLine
-from repro.components.envelope_detector import EnvelopeDetector
-from repro.components.rf_switch import SpdtSwitch, SwitchState
-from repro.components.adc import ADC
-from repro.components.antenna import Antenna
-from repro.components.amplifier import Amplifier
-from repro.components.van_atta import VanAttaArray
+from repro import _exports
 
 __all__ = [
     "TwoPortComponent",
@@ -31,3 +23,23 @@ __all__ = [
     "Amplifier",
     "VanAttaArray",
 ]
+
+_EXPORTS = {
+    "repro.components.base": ("TwoPortComponent", "cascade_loss_db"),
+    "repro.components.splitter": ("SplitterCombiner",),
+    "repro.components.delay_line": ("CoaxialDelayLine", "MeanderDelayLine"),
+    "repro.components.envelope_detector": ("EnvelopeDetector",),
+    "repro.components.rf_switch": ("SpdtSwitch", "SwitchState"),
+    "repro.components.adc": ("ADC",),
+    "repro.components.antenna": ("Antenna",),
+    "repro.components.amplifier": ("Amplifier",),
+    "repro.components.van_atta": ("VanAttaArray",),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

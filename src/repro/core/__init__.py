@@ -1,28 +1,6 @@
 """BiScatter's core contribution: CSSK two-way communication + ISAC protocol."""
 
-from repro.core.cssk import CsskAlphabet, DecoderDesign
-from repro.core.packet import DownlinkPacket, PacketFields
-from repro.core.downlink import DownlinkEncoder
-from repro.core.uplink import UplinkDecoder, UplinkResult
-from repro.core.localization import TagLocalizer, LocalizationResult
-from repro.core.isac import IsacSession, IsacFrameResult
-from repro.core.ber import bit_error_rate, bits_from_symbols, random_bits, symbol_error_rate
-from repro.core.network import MultiTagNetwork, TagEndpoint
-from repro.core.arq import ArqController, ArqStats, CrcFrame, crc8
-from repro.core.css import CssAlphabet, CssDecoder, build_css_frame
-from repro.core.coexistence import CoexistenceSimulator, interference_noise_rise_db
-from repro.core.fec import FecConfig, hamming74_decode, hamming74_encode
-from repro.core.tracking import (
-    AlphaBetaTracker,
-    TagMeasurement,
-    TrackManager,
-    TrackState,
-)
-from repro.core.sequential import (
-    SequentialModeController,
-    SequentialSchedule,
-    SequentialExchangeResult,
-)
+from repro import _exports
 
 __all__ = [
     "CsskAlphabet",
@@ -62,3 +40,32 @@ __all__ = [
     "SequentialSchedule",
     "SequentialExchangeResult",
 ]
+
+_EXPORTS = {
+    "repro.core.cssk": ("CsskAlphabet", "DecoderDesign"),
+    "repro.core.packet": ("DownlinkPacket", "PacketFields"),
+    "repro.core.downlink": ("DownlinkEncoder",),
+    "repro.core.uplink": ("UplinkDecoder", "UplinkResult"),
+    "repro.core.localization": ("TagLocalizer", "LocalizationResult"),
+    "repro.core.isac": ("IsacSession", "IsacFrameResult"),
+    "repro.core.ber": ("bit_error_rate", "bits_from_symbols", "random_bits", "symbol_error_rate"),
+    "repro.core.network": ("MultiTagNetwork", "TagEndpoint"),
+    "repro.core.arq": ("ArqController", "ArqStats", "CrcFrame", "crc8"),
+    "repro.core.css": ("CssAlphabet", "CssDecoder", "build_css_frame"),
+    "repro.core.coexistence": ("CoexistenceSimulator", "interference_noise_rise_db"),
+    "repro.core.fec": ("FecConfig", "hamming74_decode", "hamming74_encode"),
+    "repro.core.tracking": ("AlphaBetaTracker", "TagMeasurement", "TrackManager", "TrackState"),
+    "repro.core.sequential": (
+        "SequentialModeController",
+        "SequentialSchedule",
+        "SequentialExchangeResult",
+    ),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

@@ -20,16 +20,7 @@ See :mod:`repro.sim.robustness` for the severity-sweep harness that
 turns these faults into degradation curves.
 """
 
-from repro.impair.models import (
-    AdcSaturation,
-    ChirpLoss,
-    ClockDrift,
-    Impairment,
-    ImpulsiveNoise,
-    InterferenceBurst,
-)
-from repro.impair.spec import IMPAIRMENT_NAMES, ImpairmentSpec
-from repro.impair.inject import impair_if_frame, impair_tag_capture
+from repro import _exports
 
 __all__ = [
     "AdcSaturation",
@@ -43,3 +34,24 @@ __all__ = [
     "impair_if_frame",
     "impair_tag_capture",
 ]
+
+_EXPORTS = {
+    "repro.impair.models": (
+        "AdcSaturation",
+        "ChirpLoss",
+        "ClockDrift",
+        "Impairment",
+        "ImpulsiveNoise",
+        "InterferenceBurst",
+    ),
+    "repro.impair.spec": ("IMPAIRMENT_NAMES", "ImpairmentSpec"),
+    "repro.impair.inject": ("impair_if_frame", "impair_tag_capture"),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

@@ -33,6 +33,7 @@ per-run manifest ledger), :mod:`repro.obs.report` (``repro obs
 runs/report/diff`` rendering).
 """
 
+from repro import _exports
 from repro.obs.runtime import (
     LOG_ENV,
     LOG_FILE_ENV,
@@ -71,12 +72,14 @@ from repro.obs.tracing import (
     trace_path,
     write_metrics_snapshot,
 )
-# Submodules with their own namespaced APIs (obs.exporter.render_...,
-# obs.manifest.begin, ...).  Imported last: manifest/exporter depend on
-# runtime/metrics above and lazily reach into repro.store only at write
-# time, so this stays cycle-free.
-from repro.obs import exporter, manifest  # noqa: E402  (module exports)
-from repro.obs.exporter import MetricsExporter, render_exposition
+# Submodules with their own namespaced APIs (obs.manifest.begin,
+# obs.exporter.render_..., ...).  The manifest is imported last: it
+# depends on runtime/metrics above and lazily reaches into repro.store
+# only at write time, so this stays cycle-free.  Every run uses these
+# modules, so they load eagerly (``runtime`` applies ``REPRO_LOG`` and
+# ``REPRO_TRACE_DIR`` at import); the HTTP exporter (``obs.exporter``
+# and its names) loads on first use.
+from repro.obs import manifest
 from repro.obs.manifest import MANIFEST_DIR_ENV, MANIFEST_SCHEMA_VERSION
 
 __all__ = [
@@ -119,3 +122,13 @@ __all__ = [
     "trace_path",
     "write_metrics_snapshot",
 ]
+
+_EXPORTS = {"repro.obs.exporter": ("MetricsExporter", "render_exposition")}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

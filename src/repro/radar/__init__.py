@@ -1,38 +1,6 @@
 """FMCW radar: configuration presets, IF-domain simulation, and processing."""
 
-from repro.radar.config import (
-    AUTOMOTIVE_77GHZ,
-    RadarConfig,
-    TINYRAD_24GHZ,
-    XBAND_9GHZ,
-)
-from repro.radar.fmcw import FMCWRadar, IFFrame, Scatterer
-from repro.radar.range_processing import (
-    bin_ranges_m,
-    range_fft,
-    range_profile_power_db,
-    find_peak_range,
-)
-from repro.radar.if_correction import align_profiles_to_common_grid, IFCorrectionResult
-from repro.radar.doppler_processing import (
-    slow_time_spectrum,
-    range_doppler_map,
-    modulation_signature_score,
-    estimate_velocity,
-)
-from repro.radar.detection import (
-    cfar_detect,
-    detect_all_tags,
-    detect_modulated_tag,
-    TagDetection,
-)
-from repro.radar.angle import AngleEstimate, estimate_tag_angle, unambiguous_fov_deg
-from repro.radar.programming import (
-    ChirpEngine,
-    ChirpProfile,
-    EngineLimits,
-    compile_frame,
-)
+from repro import _exports
 
 __all__ = [
     "RadarConfig",
@@ -64,3 +32,37 @@ __all__ = [
     "EngineLimits",
     "compile_frame",
 ]
+
+_EXPORTS = {
+    "repro.radar.config": ("AUTOMOTIVE_77GHZ", "RadarConfig", "TINYRAD_24GHZ", "XBAND_9GHZ"),
+    "repro.radar.fmcw": ("FMCWRadar", "IFFrame", "Scatterer"),
+    "repro.radar.range_processing": (
+        "bin_ranges_m",
+        "range_fft",
+        "range_profile_power_db",
+        "find_peak_range",
+    ),
+    "repro.radar.if_correction": ("align_profiles_to_common_grid", "IFCorrectionResult"),
+    "repro.radar.doppler_processing": (
+        "slow_time_spectrum",
+        "range_doppler_map",
+        "modulation_signature_score",
+        "estimate_velocity",
+    ),
+    "repro.radar.detection": (
+        "cfar_detect",
+        "detect_all_tags",
+        "detect_modulated_tag",
+        "TagDetection",
+    ),
+    "repro.radar.angle": ("AngleEstimate", "estimate_tag_angle", "unambiguous_fov_deg"),
+    "repro.radar.programming": ("ChirpEngine", "ChirpProfile", "EngineLimits", "compile_frame"),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

@@ -39,21 +39,7 @@ mid-job (pinned by ``tests/integration/test_serve_chaos.py`` and the CI
 serve-chaos job).
 """
 
-from repro.errors import ServeConnectionLost, ServeError
-from repro.serve.client import BackoffPolicy, JobResult, ServeClient
-from repro.serve.journal import JobJournal, JournalRecord
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    JobRejected,
-    ParsedJob,
-    decode_line,
-    encode_message,
-    parse_job,
-    select_points,
-)
-from repro.serve.scheduler import JobScheduler
-from repro.serve.server import JobServer, ServeConfig, ServerThread, run_server
+from repro import _exports
 
 __all__ = [
     "ServeError",
@@ -77,3 +63,29 @@ __all__ = [
     "JobJournal",
     "JournalRecord",
 ]
+
+_EXPORTS = {
+    "repro.errors": ("ServeConnectionLost", "ServeError"),
+    "repro.serve.client": ("BackoffPolicy", "JobResult", "ServeClient"),
+    "repro.serve.journal": ("JobJournal", "JournalRecord"),
+    "repro.serve.protocol": (
+        "MAX_LINE_BYTES",
+        "PROTOCOL_VERSION",
+        "JobRejected",
+        "ParsedJob",
+        "decode_line",
+        "encode_message",
+        "parse_job",
+        "select_points",
+    ),
+    "repro.serve.scheduler": ("JobScheduler",),
+    "repro.serve.server": ("JobServer", "ServeConfig", "ServerThread", "run_server"),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

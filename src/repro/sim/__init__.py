@@ -1,43 +1,11 @@
 """Simulation harness: scenarios, Monte-Carlo engines, parameter sweeps."""
 
-from repro.sim.scenario import Scenario, default_office_scenario
-from repro.sim.adaptive import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    binomial_interval,
-    clopper_pearson_interval,
-    run_adaptive_trials,
-    should_stop,
-    stopping_trials,
-    wilson_interval,
-)
-from repro.sim.engine import (
-    DownlinkTrialConfig,
-    run_downlink_trials,
-    run_uplink_snr_measurement,
-    run_localization_trials,
-)
-from repro.errors import ChunkFailure, ExecutorError
-from repro.sim.executor import (
-    ChunkTiming,
-    ExecutionPlan,
-    ExecutionReport,
-    chunk_indices,
-    default_start_method,
-    map_trials,
-    strip_execution,
-    sweep_results_equal,
-)
-from repro.sim.results import BerPoint, SweepResult, format_table
-from repro.sim.robustness import (
-    DegradationCurve,
-    RobustnessConfig,
-    run_robustness_point,
-    run_robustness_sweep,
-)
+from repro import _exports
+
+# ``sweep`` names both a function and the submodule defining it; bound
+# lazily, the first ``import repro.sim.sweep`` would rebind the package
+# attribute to the module, so it binds here.
 from repro.sim.sweep import sweep, sweep_grid
-from repro.sim.trace import load_capture, load_if_frame, save_capture, save_if_frame
-from repro.sim.report import LinkTargets, SessionReport, build_report
 
 __all__ = [
     "Scenario",
@@ -81,3 +49,51 @@ __all__ = [
     "SessionReport",
     "build_report",
 ]
+
+_EXPORTS = {
+    "repro.sim.scenario": ("Scenario", "default_office_scenario"),
+    "repro.sim.adaptive": (
+        "AdaptiveConfig",
+        "AdaptiveResult",
+        "binomial_interval",
+        "clopper_pearson_interval",
+        "run_adaptive_trials",
+        "should_stop",
+        "stopping_trials",
+        "wilson_interval",
+    ),
+    "repro.sim.engine": (
+        "DownlinkTrialConfig",
+        "run_downlink_trials",
+        "run_uplink_snr_measurement",
+        "run_localization_trials",
+    ),
+    "repro.errors": ("ChunkFailure", "ExecutorError"),
+    "repro.sim.executor": (
+        "ChunkTiming",
+        "ExecutionPlan",
+        "ExecutionReport",
+        "chunk_indices",
+        "default_start_method",
+        "map_trials",
+        "strip_execution",
+        "sweep_results_equal",
+    ),
+    "repro.sim.results": ("BerPoint", "SweepResult", "format_table"),
+    "repro.sim.robustness": (
+        "DegradationCurve",
+        "RobustnessConfig",
+        "run_robustness_point",
+        "run_robustness_sweep",
+    ),
+    "repro.sim.trace": ("load_capture", "load_if_frame", "save_capture", "save_if_frame"),
+    "repro.sim.report": ("LinkTargets", "SessionReport", "build_report"),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -53,23 +53,22 @@ from repro.channel.multipath import Clutter
 from repro.core.ber import ErrorCounter, random_bits
 from repro.core.cssk import CsskAlphabet
 from repro.core.downlink import DownlinkEncoder
-from repro.core.localization import TagLocalizer
 from repro.core.packet import DownlinkPacket, PacketFields
-from repro.core.uplink import UplinkDecoder
 from repro.errors import SimulationError, StoreError, SyncError
 from repro.impair.spec import ImpairmentSpec
 from repro.obs import runtime as _obs_runtime
 from repro.radar.config import RadarConfig
-from repro.radar.fmcw import FMCWRadar, Scatterer
 from repro.tag.decoder_dsp import TagDecoder
 from repro.tag.frontend import AnalyticTagFrontend
-from repro.tag.modulator import UplinkModulator
-from repro.components.van_atta import VanAttaArray
 from repro.sim.adaptive import run_adaptive_trials
 from repro.sim.executor import ExecutionPlan, _is_picklable, map_trials
 from repro.sim.results import BerPoint
 from repro.utils.rng import SeedSpec
 from repro.utils.validation import ensure_positive
+
+if TYPE_CHECKING:
+    from repro.components.van_atta import VanAttaArray
+    from repro.tag.modulator import UplinkModulator
 
 
 def _plain(value):
@@ -149,13 +148,12 @@ def _point_record(
     ``work_fingerprint`` is the point's store fingerprint when the caller
     has already computed it; otherwise it is computed here, with a store.
     """
-    from repro.store.cache import ReplayRecipe
-    from repro.store.fingerprint import fingerprint
-
     kind, unit, payload, num_trials = _point_unit(workload, point, adaptive)
     if store is None:
         work_fingerprint = None
     elif work_fingerprint is None:
+        from repro.store.fingerprint import fingerprint
+
         try:
             work_fingerprint = fingerprint(kind, unit)
         except StoreError:
@@ -188,6 +186,8 @@ def _point_record(
         per_trial, trajectory = outcome.per_trial, outcome.summary()
     record_payload, arrays = workload.reduce(point, per_trial, trajectory)
     if work_fingerprint is not None:
+        from repro.store.cache import ReplayRecipe
+
         if adaptive is None:
             entry, replay_payload = workload.replay, point
         else:
@@ -662,6 +662,8 @@ def run_downlink_trials(
 
 def _sensing_scatterers(van_atta, frequency, tag_range_m, schedule, clutter):
     """The modulating tag (beacon ``schedule``) followed by the clutter."""
+    from repro.radar.fmcw import Scatterer
+
     env = clutter or Clutter()
     return [
         Scatterer(
@@ -679,6 +681,8 @@ def _uplink_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     """One chunk of uplink SNR trials -> signature SNR (dB) per trial."""
     (radar_config, modulator, van_atta, tag_range_m, num_chirps,
      chirp_duration_s, clutter) = payload
+    from repro.core.uplink import UplinkDecoder
+    from repro.radar.fmcw import FMCWRadar
     from repro.waveform.frame import FrameSchedule
 
     chirp = radar_config.chirp(chirp_duration_s)
@@ -760,6 +764,8 @@ def _localization_chunk(payload, spec: SeedSpec, indices) -> "list[float]":
     """One chunk of localization frames -> absolute ranging error per trial."""
     (radar_config, alphabet, modulator, van_atta, tag_range_m,
      varying_slopes, num_chirps, clutter) = payload
+    from repro.core.localization import TagLocalizer
+    from repro.radar.fmcw import FMCWRadar
     from repro.waveform.frame import FrameSchedule
     from repro.waveform.parameters import ChirpParameters
 

@@ -94,6 +94,7 @@ import threading
 import time
 import types
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable, Sequence
 
 from repro import obs
@@ -115,8 +116,17 @@ TIMEOUT_BACKOFF = 2.0
 
 #: Modules imported into the forkserver before the first fork, so workers
 #: inherit the heavy imports (numpy, the engine stack) instead of paying
-#: them per process.  Import failures are silently ignored by the server.
-_FORKSERVER_PRELOAD = ("repro.sim.executor", "repro.sim.engine")
+#: them per process.  The engine's uplink and localization chunks import
+#: their radar stack on first call, so it is listed too: a worker that
+#: imported it inside a chunk would charge the import to the cost model's
+#: per-trial seconds.  Import failures are silently ignored by the server.
+_FORKSERVER_PRELOAD = (
+    "repro.sim.executor",
+    "repro.sim.engine",
+    "repro.radar.fmcw",
+    "repro.core.uplink",
+    "repro.core.localization",
+)
 
 #: Seconds a parked pool waits for its next map before it shuts down.
 #: A constant rather than a plan option: it bounds how long a program
@@ -128,6 +138,7 @@ POOL_IDLE_RETIRE_S = 1.0
 DISPATCH_SHARE = 0.1
 
 
+@cache
 def default_start_method() -> str:
     """The start method used when :data:`START_METHOD_ENV` names none.
 
@@ -139,6 +150,7 @@ def default_start_method() -> str:
     start from a clean import state, so parent-process global mutations
     cannot leak into trials the way ``fork`` snapshots allow.  Set
     :data:`START_METHOD_ENV` (``REPRO_MP_START_METHOD``) to override.
+    Resolved once per process; the variable is read on every map.
     """
     import multiprocessing
 

@@ -22,30 +22,16 @@ already-computed points; the CLI exposes the same via ``--cache-dir``
 and manages directories via ``repro cache {stats,verify,clear}``.
 """
 
+from repro import _exports
+
+# ``fingerprint`` names both a function and the submodule defining it;
+# bound lazily, the first ``import repro.store.fingerprint`` would rebind
+# the package attribute to the module, so it binds here.
 from repro.store.fingerprint import (
     SCHEMA_VERSION,
     canonical_json,
     canonicalize,
     fingerprint,
-)
-from repro.store.cache import (
-    ExperimentStore,
-    ReplayRecipe,
-    StoreStats,
-    VerifyReport,
-    atomic_write_bytes,
-)
-from repro.store.inflight import (
-    InFlightRegistry,
-    InFlightStats,
-)
-from repro.store.artifacts import (
-    ARTIFACT_VERSION,
-    bench_json_path,
-    load_sweep_result,
-    read_bench_json,
-    save_sweep_result,
-    write_bench_json,
 )
 
 __all__ = [
@@ -67,3 +53,30 @@ __all__ = [
     "save_sweep_result",
     "write_bench_json",
 ]
+
+_EXPORTS = {
+    "repro.store.cache": (
+        "ExperimentStore",
+        "ReplayRecipe",
+        "StoreStats",
+        "VerifyReport",
+        "atomic_write_bytes",
+    ),
+    "repro.store.inflight": ("InFlightRegistry", "InFlightStats"),
+    "repro.store.artifacts": (
+        "ARTIFACT_VERSION",
+        "bench_json_path",
+        "load_sweep_result",
+        "read_bench_json",
+        "save_sweep_result",
+        "write_bench_json",
+    ),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

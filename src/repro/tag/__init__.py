@@ -1,18 +1,6 @@
 """The BiScatter backscatter tag: frontends, decoder DSP, modulator, power."""
 
-from repro.tag.frontend import AnalyticTagFrontend, SampledTagFrontend, TagCapture
-from repro.tag.decoder_dsp import TagDecoder, DecodedPacket, PeriodEstimate
-from repro.tag.modulator import UplinkModulator, ModulationScheme
-from repro.tag.power import TagPowerModel, PowerMode
-from repro.tag.compute_cost import McuModel, analyze_strategies, macs_per_chirp
-from repro.tag.calibration import (
-    CalibrationResult,
-    estimate_delta_t,
-    measure_calibration_beats,
-    recalibrate_alphabet,
-)
-from repro.tag.streaming import DecoderState, StreamingTagDecoder
-from repro.tag.architecture import BiScatterTag
+from repro import _exports
 
 __all__ = [
     "AnalyticTagFrontend",
@@ -36,3 +24,27 @@ __all__ = [
     "StreamingTagDecoder",
     "BiScatterTag",
 ]
+
+_EXPORTS = {
+    "repro.tag.frontend": ("AnalyticTagFrontend", "SampledTagFrontend", "TagCapture"),
+    "repro.tag.decoder_dsp": ("TagDecoder", "DecodedPacket", "PeriodEstimate"),
+    "repro.tag.modulator": ("UplinkModulator", "ModulationScheme"),
+    "repro.tag.power": ("TagPowerModel", "PowerMode"),
+    "repro.tag.compute_cost": ("McuModel", "analyze_strategies", "macs_per_chirp"),
+    "repro.tag.calibration": (
+        "CalibrationResult",
+        "estimate_delta_t",
+        "measure_calibration_beats",
+        "recalibrate_alphabet",
+    ),
+    "repro.tag.streaming": ("DecoderState", "StreamingTagDecoder"),
+    "repro.tag.architecture": ("BiScatterTag",),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

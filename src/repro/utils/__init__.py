@@ -1,22 +1,6 @@
 """Shared utilities: unit conversions, DSP kernels, validation, RNG plumbing."""
 
-from repro.utils.units import (
-    db_to_power_ratio,
-    db_to_voltage_ratio,
-    dbm_to_watts,
-    inches_to_meters,
-    power_ratio_to_db,
-    voltage_ratio_to_db,
-    watts_to_dbm,
-    wavelength,
-)
-from repro.utils.rng import SeedSpec, resolve_rng, seed_sequence_of, spawn_streams
-from repro.utils.validation import (
-    ensure_finite,
-    ensure_in_range,
-    ensure_positive,
-    ensure_probability,
-)
+from repro import _exports
 
 __all__ = [
     "db_to_power_ratio",
@@ -36,3 +20,31 @@ __all__ = [
     "ensure_positive",
     "ensure_probability",
 ]
+
+_EXPORTS = {
+    "repro.utils.units": (
+        "db_to_power_ratio",
+        "db_to_voltage_ratio",
+        "dbm_to_watts",
+        "inches_to_meters",
+        "power_ratio_to_db",
+        "voltage_ratio_to_db",
+        "watts_to_dbm",
+        "wavelength",
+    ),
+    "repro.utils.rng": ("SeedSpec", "resolve_rng", "seed_sequence_of", "spawn_streams"),
+    "repro.utils.validation": (
+        "ensure_finite",
+        "ensure_in_range",
+        "ensure_positive",
+        "ensure_probability",
+    ),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

@@ -1,12 +1,6 @@
 """FMCW waveform modelling: chirp parameters, synthesis, and frame schedules."""
 
-from repro.waveform.parameters import ChirpParameters
-from repro.waveform.chirp import (
-    sample_chirp_baseband,
-    sample_chirp_real,
-    instantaneous_frequency,
-)
-from repro.waveform.frame import ChirpSlot, FrameSchedule
+from repro import _exports
 
 __all__ = [
     "ChirpParameters",
@@ -16,3 +10,21 @@ __all__ = [
     "ChirpSlot",
     "FrameSchedule",
 ]
+
+_EXPORTS = {
+    "repro.waveform.parameters": ("ChirpParameters",),
+    "repro.waveform.chirp": (
+        "sample_chirp_baseband",
+        "sample_chirp_real",
+        "instantaneous_frequency",
+    ),
+    "repro.waveform.frame": ("ChirpSlot", "FrameSchedule"),
+}
+
+
+def __getattr__(name):
+    return _exports.load(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return _exports.listing(globals())

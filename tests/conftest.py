@@ -55,6 +55,35 @@ def _fresh_cost_model():
 
 
 @pytest.fixture(scope="session")
+def fresh_python():
+    """``run(*args) -> stdout`` of a new interpreter on this checkout's ``src``.
+
+    The child gets no ``REPRO_*`` variables, so what it imports does not
+    depend on the telemetry settings the suite runs under.
+    """
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def run(*args: str) -> str:
+        done = subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def decoder_design() -> DecoderDesign:
     """The paper's 45-inch delay-line difference."""
     return DecoderDesign.from_inches(45.0)

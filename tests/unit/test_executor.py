@@ -138,6 +138,19 @@ class TestExecutionPlanValidation:
             ExecutionPlan(chunk_timeout_s=-1.0)
 
 
+class TestStartMethod:
+    def test_environment_overrides_the_cached_default(self, monkeypatch):
+        monkeypatch.delenv(executor.START_METHOD_ENV, raising=False)
+        default = executor._start_method()
+        assert default == executor.default_start_method()
+        assert executor.default_start_method.cache_info().currsize == 1
+        other = "spawn" if default != "spawn" else "fork"
+        monkeypatch.setenv(executor.START_METHOD_ENV, other)
+        assert executor._start_method() == other
+        monkeypatch.delenv(executor.START_METHOD_ENV)
+        assert executor._start_method() == default
+
+
 class TestChunkTimingValidation:
     def test_accepts_valid_timing(self):
         timing = ChunkTiming(chunk_index=0, start_index=0, num_trials=1, seconds=0.0)
