@@ -480,10 +480,14 @@ def _downlink_chunk(
     )
     snr_override = _effective_snr_override(config)
     bits_per_frame = config.payload_symbols_per_frame * config.alphabet.symbol_bits
-    streams = [spec.stream(index) for index in indices]
-    payload_block = np.stack(
-        [random_bits(bits_per_frame, rng=stream) for stream in streams]
-    )
+    with obs.span("engine.downlink.batch.payload", frames=len(indices)):
+        streams = [spec.stream(index) for index in indices]
+        payload_block = np.stack([random_bits(bits_per_frame, rng=stream) for stream in streams])
+        if impair is None:
+            layout = _downlink_layout(
+                config.alphabet, config.fields, config.payload_symbols_per_frame
+            )
+            durations, slopes = layout.slot_tables(layout.payload_symbols(payload_block))
 
     if impair is not None:
         captures = []
@@ -498,15 +502,11 @@ def _downlink_chunk(
         if not config.full_sync:
             block = np.stack([capture.samples for capture in captures])
     else:
-        layout = _downlink_layout(
-            config.alphabet, config.fields, config.payload_symbols_per_frame
-        )
         fs = budget.adc.sample_rate_hz
         total_samples = int(round(layout.duration_s * fs))
         if total_samples < 2:
             raise SimulationError("frame too short for the tag ADC rate")
         ensure_positive("distance_m", config.distance_m)
-        durations, slopes = layout.slot_tables(layout.payload_symbols(payload_block))
         with obs.span("engine.downlink.batch.synthesize", frames=len(streams)):
             block = _synthesize_batch(
                 frontend,
@@ -514,14 +514,10 @@ def _downlink_chunk(
                 total_samples=total_samples,
                 distance_m=config.distance_m,
                 generators=streams,
-                start_samples=np.round(layout.start_times_s * fs).astype(int),
                 start_times_s=layout.start_times_s,
                 durations_s=durations,
                 slopes_hz_per_s=slopes,
-                absorptive=np.ones(layout.num_slots, dtype=bool),
-                off_boresight_deg=0.0,
                 snr_override_db=snr_override,
-                wrap_fractions=None,
             )
         if config.full_sync:
             captures = [TagCapture(samples=row, sample_rate_hz=fs) for row in block]

@@ -30,6 +30,7 @@ from repro.core.cssk import CsskAlphabet
 from repro.core.packet import PacketFields
 from repro.errors import SyncError
 from repro.tag.frontend import TagCapture
+from repro.utils.dsp import SlidingWindowSpec, sliding_windows
 
 
 @dataclass(frozen=True)
@@ -380,27 +381,28 @@ class TagDecoder:
         batch, size = samples.shape
         cache = self._scoring_cache(fs)
         n_slot = cache["n_slot"]
-        # One preallocated (K*batch, n_slot) window matrix, filled slot by
-        # slot: the zero initialization doubles as the short-slot padding.
-        windows_full = np.zeros((num_payload_symbols * batch, n_slot))
-        num_blocks = 0
-        for k in range(start_slot, start_slot + num_payload_symbols):
-            begin = int(round(k * self.alphabet.chirp_period_s * fs))
-            end = int(round((k + 1) * self.alphabet.chirp_period_s * fs))
-            if begin >= size:
-                break
-            width = min(end, size) - begin
-            if width < 4:
-                break
-            rows = windows_full[num_blocks * batch : (num_blocks + 1) * batch]
-            if width >= n_slot:
-                rows[:] = samples[:, begin : begin + n_slot]
-            else:
-                rows[:, :width] = samples[:, begin : begin + width]
-            num_blocks += 1
+        period = self.alphabet.chirp_period_s
+        slots = np.arange(start_slot, start_slot + num_payload_symbols)
+        begins = np.round(slots * period * fs).astype(int)
+        widths = np.minimum(np.round((slots + 1) * period * fs).astype(int), size) - begins
+        # The grids stop at the first slot under 4 samples (every slot at or
+        # past the end of the rows is one).
+        num_blocks = int(np.argmax(np.append(widths < 4, True)))
         if not num_blocks:
             return np.empty((0, batch), dtype=int), np.empty((0, batch))
-        pick = self._data_argmax(windows_full[: num_blocks * batch], cache)
+        begins, widths = begins[:num_blocks], widths[:num_blocks]
+        # One gather of samples[:, begin_k + arange(n_slot)] for every slot,
+        # from the strided view of every n_slot-sample window of the rows
+        # (zero-extended if the last window runs past them), in the
+        # (K, batch, n_slot) order the GEMM reads as K*batch windows; a
+        # short slot's samples past its width are zeroed.
+        if begins[-1] + n_slot > size:
+            samples = np.pad(samples, ((0, 0), (0, begins[-1] + n_slot - size)))
+        every_window = sliding_windows(samples, SlidingWindowSpec(n_slot, 1))
+        windows = every_window.swapaxes(0, 1)[begins]
+        if widths.min() < n_slot:
+            np.copyto(windows, 0.0, where=np.arange(n_slot) >= widths[:, None, None])
+        pick = self._data_argmax(windows.reshape(-1, n_slot), cache)
         return (
             cache["data_symbols"][pick].reshape(num_blocks, batch),
             cache["data_beats"][pick].reshape(num_blocks, batch),

@@ -189,9 +189,12 @@ class AnalyticTagFrontend:
         ``[capture(f, d, rng=g) for f, g in zip(frames, gens)]`` — each
         frame consumes its generator in the identical draw order (one
         uniform phase per active slot in slot order, then the noise
-        vector).  The heavy math (tone synthesis, noise add, conditional
-        quantization) runs as a handful of ``(batch, n_samples)`` array
-        ops instead of a per-slot Python loop.
+        vector).  Tone synthesis is one broadcast pass over a ``(batch,
+        slots, K)`` block, ``K`` the longest chirp on-time, with ``cos`` on
+        on-samples only, written into the signal slot by slot in slot order
+        as :meth:`capture` does (so a chirp rounded onto the next slot's
+        first sample is overwritten there).  Noise add and conditional
+        quantization run over the ``(batch, n_samples)`` block.
 
         Constraints (``SimulationError`` otherwise): the batch is
         non-empty, every frame has the same slot count, the same slot
@@ -214,6 +217,7 @@ class AnalyticTagFrontend:
         total_samples = int(round(bank.duration_s * fs))
         if total_samples < 2:
             raise SimulationError("frame too short for the tag ADC rate")
+        absorptive = None
         if absorptive_slots is not None:
             absorptive = np.asarray(absorptive_slots, dtype=bool)
             if absorptive.size != bank.num_slots:
@@ -221,15 +225,12 @@ class AnalyticTagFrontend:
                     f"absorptive_slots has {absorptive.size} entries for a "
                     f"{bank.num_slots}-slot frame"
                 )
-        else:
-            absorptive = np.ones(bank.num_slots, dtype=bool)
         samples = _synthesize_batch(
             self,
             fs=fs,
             total_samples=total_samples,
             distance_m=distance_m,
             generators=generators,
-            start_samples=np.round(bank.start_times_s * fs).astype(int),
             start_times_s=bank.start_times_s,
             durations_s=bank.durations_s,
             slopes_hz_per_s=bank.slopes_hz_per_s,
@@ -307,14 +308,13 @@ def _synthesize_batch(
     total_samples: int,
     distance_m: float,
     generators: "list[np.random.Generator]",
-    start_samples: np.ndarray,
     start_times_s: np.ndarray,
     durations_s: np.ndarray,
     slopes_hz_per_s: np.ndarray,
-    absorptive: np.ndarray,
-    off_boresight_deg: float,
-    snr_override_db: float | None,
-    wrap_fractions: np.ndarray | None,
+    absorptive: np.ndarray | None = None,
+    off_boresight_deg: float = 0.0,
+    snr_override_db: float | None = None,
+    wrap_fractions: np.ndarray | None = None,
 ) -> np.ndarray:
     """The vectorized core shared by :meth:`AnalyticTagFrontend.capture_batch`
     and the engine's layout-based fast path.
@@ -322,8 +322,9 @@ def _synthesize_batch(
     Replicates :meth:`AnalyticTagFrontend.capture` bit-for-bit: identical
     per-frame RNG draw order (per-active-slot uniform phases in slot order,
     then one noise vector), identical sample-index rounding, identical
-    elementwise arithmetic — only restructured so the tone synthesis and
-    noise add run over a ``(batch, n_samples)`` block.  Returns that block.
+    elementwise arithmetic, with no per-slot Python (see DESIGN.md Section
+    7).  Returns the ``(frames, n_samples)`` block; ``absorptive=None``
+    means every slot.
     """
     batch = len(generators)
     amplitude = frontend.budget.video_beat_amplitude_v(
@@ -335,18 +336,21 @@ def _synthesize_batch(
         target_linear = 10.0 ** (snr_override_db / 10.0)
         noise_rms = float(np.sqrt(amplitude**2 / 2.0 / target_linear))
 
-    # Stop indices exactly as the per-frame oracle rounds them:
-    # round((start_time + duration) * fs), clamped to the capture length.
+    # Sample indices exactly as the per-frame oracle rounds them, stops
+    # clamped to the capture length.
+    start_samples = np.round(start_times_s * fs).astype(int)
     stop_samples = np.minimum(
         np.round((start_times_s[None, :] + durations_s) * fs).astype(int),
         total_samples,
     )
-    active = absorptive[None, :] & (stop_samples > start_samples[None, :])
+    active = stop_samples > start_samples[None, :]
+    if absorptive is not None:
+        active &= absorptive[None, :]
 
     # Per-frame phase draws, in slot order — uniform(size=k) draws the same
     # bit pattern as k sequential scalar draws, so batching them per frame
     # preserves the oracle's RNG stream exactly.
-    phases = np.zeros((batch, active.shape[1]))
+    phases = np.zeros(active.shape)
     for row, generator in enumerate(generators):
         count = int(np.count_nonzero(active[row]))
         if count:
@@ -357,62 +361,44 @@ def _synthesize_batch(
     gains = np.array(
         [frontend.budget.detector.video_gain_at(float(b)) for b in unique_beats]
     )
-    rolloffs = gains[inverse].reshape(beats.shape)
+    # The per-(frame, slot) tables as (frames, slots, 1) columns over the
+    # shared time base arange(K) / fs; a row's samples past its on-time
+    # (all of an inactive slot's) are off.  A slot without a wrap in
+    # (0, 1) gets wrap time +inf, where t < inf keeps t.
+    omega = (2.0 * np.pi * beats)[:, :, None]
+    phases = phases[:, :, None]
+    rolloffs = gains[inverse].reshape(*beats.shape, 1)
+    wraps = np.asarray(np.nan if wrap_fractions is None else wrap_fractions, dtype=float)
+    wrapping = (wraps > 0.0) & (wraps < 1.0)
+    wrap_times = np.where(wrapping, wraps * durations_s, np.inf)[:, :, None]
+    lengths = np.where(active, stop_samples - start_samples[None, :], 0)
+    width = int(lengths.max(initial=0))
+    t = np.arange(width) / fs
 
-    max_on = max(int((stop_samples - start_samples[None, :]).max(initial=0)), 0)
-    time_base = np.arange(max_on) / fs
-    sample_index = np.arange(max_on)
-    signal = np.zeros((batch, total_samples))
-    scratch = np.empty((batch, max_on))
-    for slot in range(active.shape[1]):
-        rows = np.flatnonzero(active[:, slot])
-        if rows.size == 0:
-            continue
-        full_batch = rows.size == batch
-        start = int(start_samples[slot])
-        lengths = stop_samples[rows, slot] - start
-        n_max = int(lengths.max())
-        t = time_base[:n_max]
-        # Basic slices when every frame is active (the common engine path)
-        # avoid the fancy-index copies; values are read-identical.
-        take = slice(None) if full_batch else rows
-        beat = beats[take, slot][:, None]
-        phase = phases[take, slot][:, None]
-        rolloff = rolloffs[take, slot][:, None]
-        wrap = (
-            float(wrap_fractions[slot]) if wrap_fractions is not None else float("nan")
-        )
-        # A slot every frame fills to the same stop is synthesized straight
-        # into the signal block; any other goes through ``scratch``.
-        uniform = full_batch and int(lengths.min()) == n_max
-        values = signal[:, start : start + n_max] if uniform else scratch[: rows.size, :n_max]
-        # The in-place chain below performs the oracle's exact elementwise
-        # operation sequence — cos(2*pi*beat*t + phase), then *rolloff,
-        # then (1 +), then *amplitude — without per-step temporaries, so
-        # every written value is bit-identical.
-        if np.isfinite(wrap) and 0.0 < wrap < 1.0:
-            wrap_time = wrap * durations_s[take, slot][:, None]
-            shifted = np.where(t < wrap_time, t, t - wrap_time)
-            np.multiply(2.0 * np.pi * beat, shifted, out=values)
-        else:
-            np.multiply(2.0 * np.pi * beat, t, out=values)
-        values += phase
-        np.cos(values, out=values)
-        values *= rolloff
+    # The block is computed in row blocks of at most 16 Ki elements (128 KiB
+    # of float64), each written slot by slot, on-samples only, in slot
+    # order, so a chirp rounded onto the next slot's first sample is
+    # overwritten there, as in capture.
+    padded = np.zeros((batch, max(total_samples, int(start_samples[-1]) + width)))
+    rows_per_block = max(1, (1 << 14) // max(start_samples.size * width, 1))
+    for first in range(0, batch if width else 0, rows_per_block):
+        rows = slice(first, first + rows_per_block)
+        on = np.arange(width) < lengths[rows, :, None]
+        values = np.empty(on.shape)
+        # The oracle's exact in-place operation sequence, bit for bit:
+        # cos(2*pi*beat*t + phase), *rolloff, (1 +), *amplitude; cos runs
+        # on on-samples only.
+        shifted = np.where(t < wrap_times[rows], t, t - wrap_times[rows]) if wrapping.any() else t
+        np.multiply(omega[rows], shifted, out=values)
+        values += phases[rows]
+        np.cos(values, out=values, where=on)
+        values *= rolloffs[rows]
         if frontend.include_dc:
             values += 1.0
         values *= amplitude
-        if uniform:
-            continue
-        # Each row writes only its own [start, stop) samples, as the
-        # oracle does: past a row's stop the block keeps what it held.
-        mask = sample_index[:n_max][None, :] < lengths[:, None]
-        if full_batch:
-            np.copyto(signal[:, start : start + n_max], values, where=mask)
-        else:
-            block = signal[rows, start : start + n_max]
-            np.copyto(block, values, where=mask)
-            signal[rows, start : start + n_max] = block
+        for slot, start in enumerate(start_samples):
+            np.copyto(padded[rows, start : start + width], values[:, slot], where=on[:, slot])
+    signal = padded[:, :total_samples]
 
     for row, generator in enumerate(generators):
         signal[row] += generator.normal(0.0, noise_rms, total_samples)

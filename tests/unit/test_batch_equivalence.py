@@ -18,7 +18,10 @@ Layer by layer:
   many-vs-looped Goertzel cross-checks (those two are *different
   algorithms*, so they get tolerances; everything else is bit-exact);
 * tag frontend (``tag.frontend.capture_batch``) vs sequential
-  ``capture`` under matched RNG streams;
+  ``capture`` under matched RNG streams, on encoded frames and on
+  hand-built slot grids (ragged rows, non-absorptive, empty, cut-short
+  and overlapping slots, wraps at 0, 1, NaN and inside, no DC pedestal,
+  a batch of one, and a Hypothesis sweep of uniform grids);
 * tag decoder (``tag.decoder_dsp``): ``score_slots`` / ``score_slot``
   vs the per-slot ``projectors @ window`` reference,
   ``decode_aligned_batch`` / ``decode_aligned`` vs the per-slot decode
@@ -478,6 +481,169 @@ class TestFrontendCaptureBatching:
         with pytest.raises(SimulationError):
             frontend.capture_batch(frames, 3.0, rngs=[0])
 
+    # Hand-built slot grids: one row of chirp durations per frame, on a
+    # shared grid of ``period_samples``-sample slots at the 1 MHz ADC rate.
+
+    @pytest.mark.parametrize(
+        "period_samples, durations, kwargs",
+        [
+            (24.0, [[1.0, 0.5, 0.9, 0.3], [0.2, 1.0, 0.6, 1.0], [0.7, 0.7, 1.0, 0.45]], {}),
+            (
+                20.0,
+                [[1.0, 0.5, 0.8, 0.6, 0.9], [0.4, 1.0, 0.3, 1.0, 0.7]],
+                {"absorptive_slots": np.array([True, False, True, False, False])},
+            ),
+            (24.0, [[1.0, 0.6, 0.3], [0.5, 1.0, 0.8]], {"include_dc": False}),
+            (30.0, [[1.0, 0.4, 0.75, 0.2]], {}),
+        ],
+        ids=["ragged_rows", "non_absorptive", "no_dc_pedestal", "batch_of_one"],
+    )
+    def test_hand_built_grids(self, period_samples, durations, kwargs):
+        _assert_batch_matches_capture(_grid_frames(period_samples, durations), seed=21, **kwargs)
+
+    def test_empty_slot_next_to_full_rows(self):
+        # 0.01 of a 16-sample slot rounds to no samples: row 1's slot 1 is
+        # empty (stop <= start), so it draws no phase, beside full rows.
+        durations = [[1.0, 1.0, 1.0], [1.0, 0.01, 1.0], [0.8, 1.0, 0.6]]
+        frames = _grid_frames(16.0, durations)
+        fs = 1e6
+        slot = frames[1].slots[1]
+        assert round((slot.start_time_s + slot.chirp.duration_s) * fs) <= round(
+            slot.start_time_s * fs
+        )
+        _assert_batch_matches_capture(frames, seed=23)
+
+    def test_last_slot_cut_short_by_the_capture_length(self):
+        # A 10.5-sample period just under the rounding midpoint: a last
+        # chirp 1e-15 s longer than its period (the slack ChirpSlot allows)
+        # rounds one sample past the frame, so its stop is clamped.
+        period = 10.5 - 1e-10
+        frames = _grid_frames(period, [[1.0, 0.5, 1.0], [0.6, 1.0, 1.0]], slack_s=1e-15)
+        fs = 1e6
+        last = frames[0].slots[-1]
+        total = round(frames[0].duration_s * fs)
+        assert round((last.start_time_s + last.chirp.duration_s) * fs) > total
+        _assert_batch_matches_capture(frames, seed=24)
+
+    def test_wrap_fractions_at_edges_nan_and_inside(self):
+        # Slot 1 wraps at 0.5 of a full 40-sample chirp: t == wrap_time
+        # exactly at sample 20, where the tone restarts (t < wrap_time is
+        # False there).
+        frames = _grid_frames(40.0, [[1.0, 1.0, 0.9, 0.7, 1.0], [0.5, 1.0, 1.0, 0.8, 0.6]])
+        assert 0.5 * frames[0].slots[1].chirp.duration_s == 20 / 1e6
+        wraps = np.array([0.0, 0.5, 1.0, np.nan, 0.3])
+        _assert_batch_matches_capture(frames, seed=25, wrap_fractions=wraps)
+
+    @pytest.mark.parametrize("num_slots", [2, 5])
+    def test_overlapping_windows_keep_slot_order(self, num_slots):
+        # Slot windows overlap: a chirp 1e-15 s over its 10.5-sample period
+        # rounds onto the next slot's first sample.  Where the next slot
+        # is active it overwrites that sample; where it is empty (row 1) or
+        # not absorptive (slot 3) the earlier chirp's last sample stays.
+        # Two slots start one 10-sample gap apart: a regular grid whose
+        # gap is shorter than the longest on-time.
+        period = 10.5 - 5e-10
+        durations = [
+            [1.0, 1.0, 1.0, 1.0, 0.5], [1.0, 0.01, 1.0, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5, 1.0]
+        ]
+        frames = _grid_frames(
+            period, [row[:num_slots] for row in durations], slack_s=1e-15
+        )
+        fs = 1e6
+        first, second = frames[0].slots[:2]
+        assert round((first.start_time_s + first.chirp.duration_s) * fs) > round(
+            second.start_time_s * fs
+        )
+        absorb = np.array([True, True, True, False, True])[:num_slots]
+        _assert_batch_matches_capture(frames, seed=28, absorptive_slots=absorb)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(4, 64).map(float) | st.floats(min_value=4.0, max_value=64.0),
+        st.data(),
+    )
+    def test_uniform_slot_grids(self, num_slots, batch, period_samples, data):
+        fractions = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+        durations = data.draw(
+            st.lists(
+                st.lists(fractions, min_size=num_slots, max_size=num_slots),
+                min_size=batch,
+                max_size=batch,
+            )
+        )
+        wraps = data.draw(
+            st.none()
+            | st.lists(
+                st.sampled_from([0.0, 0.5, 1.0, float("nan")])
+                | st.floats(min_value=0.0, max_value=1.0),
+                min_size=num_slots,
+                max_size=num_slots,
+            )
+        )
+        absorb = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=num_slots, max_size=num_slots)
+        )
+        _assert_batch_matches_capture(
+            _grid_frames(period_samples, durations),
+            seed=data.draw(st.integers(0, 2**16 - 1)),
+            distance_m=data.draw(st.floats(min_value=1.0, max_value=9.0)),
+            absorptive_slots=None if absorb is None else np.array(absorb),
+            wrap_fractions=None if wraps is None else np.array(wraps),
+            include_dc=data.draw(st.booleans()),
+        )
+
+
+def _grid_frames(period_samples, durations, *, slack_s=0.0):
+    """Frames on one grid of ``period_samples``-sample slots at 1 MHz.
+
+    ``durations[b][s]`` is frame ``b``'s slot-``s`` chirp length as a
+    fraction of the period (a zero becomes a chirp too short for one
+    sample); a full-period chirp gets ``slack_s`` more.  Every chirp
+    sweeps 1 GHz, so its beat depends on its duration.
+    """
+    period = period_samples / 1e6
+    return [
+        FrameSchedule(
+            slots=tuple(
+                ChirpSlot(
+                    chirp=ChirpParameters(
+                        start_frequency_hz=9e9,
+                        bandwidth_hz=1e9,
+                        duration_s=(
+                            period + slack_s if fraction == 1.0 else max(fraction, 1e-3) * period
+                        ),
+                    ),
+                    start_time_s=k * period,
+                    period_s=period,
+                )
+                for k, fraction in enumerate(row)
+            )
+        )
+        for row in durations
+    ]
+
+
+def _assert_batch_matches_capture(
+    frames, *, seed, distance_m=3.0, include_dc=True, **capture_kwargs
+):
+    """``capture_batch`` equals per-frame ``capture``, bit for bit."""
+    config = _trial_config(3)
+    frontend = AnalyticTagFrontend(
+        budget=config.resolved_budget(),
+        delta_t_s=config.alphabet.decoder.delta_t_s,
+        include_dc=include_dc,
+    )
+    spec = SeedSpec.from_rng(seed)
+    batched = frontend.capture_batch(
+        frames, distance_m, rngs=[spec.stream(i) for i in range(len(frames))], **capture_kwargs
+    )
+    assert len(batched) == len(frames)
+    for index, frame in enumerate(frames):
+        reference = frontend.capture(frame, distance_m, rng=spec.stream(index), **capture_kwargs)
+        assert batched[index].samples.tobytes() == reference.samples.tobytes()
+
 
 def _assert_packets_equal(got, want):
     assert np.array_equal(got.bits, want.bits)
@@ -776,6 +942,43 @@ class TestBlockDecodeAndChunkCounting:
         assert got == want
         assert all(type(value) is int for result in got for value in result)
         assert sum(result[0] for result in got) > 0
+
+    @pytest.mark.parametrize(
+        "fs, tail", [(1e6, 3), (1e6, 4), (1.0042e6, None), (0.9983e6, None), (0.9983e6, 5)]
+    )
+    def test_block_kernel_padding_and_stop_rules(self, fs, tail):
+        # Fractional periods (120.504 and 119.796 samples) give slots one
+        # sample shorter than the n_slot window, zero-padded past their
+        # width; a spike on the sample after each such slot changes its
+        # decision unless it is.  Rows cut ``tail`` samples into payload
+        # slot 9 end in a slot under 4 samples (the grids stop) or one
+        # read zero-padded.
+        config = _trial_config(5, payload_symbols_per_frame=self.PAYLOAD)
+        start_slot = config.fields.preamble_length
+        period = config.alphabet.chirp_period_s
+        size = int(round((start_slot + self.PAYLOAD) * period * fs))
+        if tail is not None:
+            size = int(round((start_slot + 9) * period * fs)) + tail
+        block = np.random.default_rng(3).normal(size=(3, size))
+        slots = np.arange(start_slot, start_slot + self.PAYLOAD + 1)
+        begins = np.round(slots * period * fs).astype(int)
+        after_short = begins[1:][np.diff(begins) < round(period * fs)]
+        block[:, after_short[after_short < size]] = 1e3
+        decoder = TagDecoder(config.alphabet, fields=config.fields)
+        symbols, beats = decoder.decode_aligned_block(
+            block, fs, num_payload_symbols=self.PAYLOAD, start_slot=start_slot
+        )
+        if tail is not None:
+            assert symbols.shape == (9 if tail < 4 else 10, 3)
+        for b, row in enumerate(block):
+            reference = reference_decode_aligned(
+                decoder,
+                TagCapture(samples=row, sample_rate_hz=fs),
+                num_payload_symbols=self.PAYLOAD,
+                skip_slots=start_slot,
+            )
+            assert symbols[:, b].tolist() == reference.symbols
+            assert np.array_equal(beats[:, b], reference.measured_beats_hz)
 
     def test_block_kernel_rejects_bad_blocks(self):
         decoder = TagDecoder(ALPHABETS[5])

@@ -468,6 +468,9 @@ class TestObservabilityFlags:
         assert "profile [" in text
         assert "executor.trials.completed" in text
         assert "engine.downlink.trials" in text
+        # Every engine stage of the chunk, payload/RNG included.
+        for stage in ("payload", "synthesize", "decode", "count"):
+            assert f"engine.downlink.batch.{stage}.seconds" in text
 
     def test_profile_counters_match_across_worker_counts(self):
         from repro.obs import runtime
