@@ -176,11 +176,15 @@ class UplinkDecoder:
             coherence_chirps=self.modulator.chirps_per_bit,
         )
 
-    def measure_snr_db(self, if_frame: IFFrame) -> float:
+    def measure_snr_db(
+        self, if_frame: IFFrame, *, correction: IFCorrectionResult | None = None
+    ) -> float:
         """Uplink signature SNR at the tag cell (the Fig. 15 metric).
 
         Ratio of the tone power at the detected cell to the off-template
-        spectral floor of that cell.
+        spectral floor of that cell.  ``correction`` reuses an existing
+        IF-correction result of this frame instead of aligning again.
         """
-        correction = align_profiles_to_common_grid(if_frame)
+        if correction is None:
+            correction = align_profiles_to_common_grid(if_frame)
         return self._detect(if_frame, correction).snr_db

@@ -55,11 +55,12 @@ def slow_time_spectrum(
     size = next_pow2(num_chirps) if n_fft is None else int(n_fft)
     # Rebinding drops the mean-removed copy before the FFT allocates.
     matrix = matrix * win
-    spectrum = np.fft.fft(matrix, n=size, axis=0)
-    spectrum /= win.sum()
     half = size // 2
+    # Only the kept half is divided by the window gain.
+    spectrum = np.fft.fft(matrix, n=size, axis=0)[:half]
+    spectrum /= win.sum()
     freqs = np.arange(half) / (size * chirp_period_s)
-    return freqs, np.abs(spectrum[:half])
+    return freqs, np.abs(spectrum)
 
 
 def range_doppler_map(

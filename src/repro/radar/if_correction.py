@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.radar.fmcw import IFFrame
-from repro.radar.range_processing import bin_ranges_m, range_fft
+from repro.radar.range_processing import (
+    _bin_ranges,
+    bin_ranges_m,
+    range_fft,
+    range_profiles,
+)
 from repro.utils.dsp import next_pow2
 from repro.utils.validation import ensure_positive
 
@@ -168,41 +173,29 @@ def align_profiles_to_common_grid(
     fs = if_frame.sample_rate_hz
     ensure_positive("sample_rate_hz", fs)
 
-    max_samples = max(samples.size for samples in if_frame.chirp_samples)
-    n_fft = next_pow2(max_samples) * pad_factor
+    lengths = np.array([samples.size for samples in if_frame.chirp_samples])
+    n_fft = next_pow2(int(lengths.max())) * pad_factor
     half = n_fft // 2
-    # The window, its coherent gain and the centre-shift phasor depend only
-    # on the chirp length, so each equal-length group is transformed by one
-    # stacked ``range_fft`` call and shifted by one phasor.
-    by_length: "dict[int, list[int]]" = {}
-    for index, samples in enumerate(if_frame.chirp_samples):
-        by_length.setdefault(samples.size, []).append(index)
-    raw_profiles: "list[np.ndarray]" = [None] * if_frame.num_chirps
-    for size, indices in by_length.items():
-        stack = np.vstack([if_frame.chirp_samples[index] for index in indices])
-        # Re-reference the analysis window to its center: a window spanning
-        # [0, N) imparts a linear phase ~ (N-1)/2 samples that DIFFERS per
-        # chirp length, which would scramble slow-time phase coherence in
-        # mixed-slope frames.  The DFT shift property undoes it exactly.
-        # Only the kept half is shifted, so the full spectra die here.
-        center_shift = (size - 1) / 2.0
-        profiles = range_fft(stack, n_fft=n_fft, window=window)[:, :half] * np.exp(
-            2j * np.pi * np.arange(half) * center_shift / n_fft
-        )
-        for index, profile in zip(indices, profiles):
-            raw_profiles[index] = profile
+    # One FFT over the whole frame; only the kept half is divided by the
+    # window gains, so the full spectra die inside ``range_profiles``.
+    profiles = range_profiles(if_frame.chirp_samples, n_fft=n_fft, keep=half, window=window)
+    # Re-reference the analysis window to its center: a window spanning
+    # [0, N) imparts a linear phase ~ (N-1)/2 samples that DIFFERS per
+    # chirp length, which would scramble slow-time phase coherence in
+    # mixed-slope frames.  The DFT shift property undoes it exactly.  The
+    # phasor depends only on the chirp length: one row per distinct length.
+    sizes, size_of = np.unique(lengths, return_inverse=True)
+    phasors = np.exp(2j * np.pi * np.arange(half) * ((sizes - 1) / 2.0)[:, None] / n_fft)
     # Bin ranges depend only on the slope: one axis per distinct slope,
-    # copied per chirp so no two chirps share an array.
-    slope_ranges: "dict[float, np.ndarray]" = {}
-    raw_ranges: "list[np.ndarray]" = []
-    for slot in if_frame.frame.slots:
-        slope = slot.chirp.slope_hz_per_s
-        if slope not in slope_ranges:
-            slope_ranges[slope] = bin_ranges_m(slot.chirp, fs, n_fft)[:half]
-        raw_ranges.append(slope_ranges[slope].copy())
-    native_max_ranges = [float(ranges[-1]) for ranges in raw_ranges]
+    # copied per chirp below so no two chirps share an array.
+    slopes = np.array([slot.chirp.slope_hz_per_s for slot in if_frame.frame.slots])
+    distinct, slope_of = np.unique(slopes, return_inverse=True)
+    slope_ranges = _bin_ranges(distinct, fs, n_fft, keep=half)
 
-    grid_extent = min(native_max_ranges) if max_range_m is None else float(max_range_m)
+    if max_range_m is None:
+        grid_extent = float(slope_ranges[:, -1].min())
+    else:
+        grid_extent = float(max_range_m)
     if grid_extent <= 0:
         raise ValueError(f"common grid extent must be positive, got {grid_extent}")
     num_bins = half if range_bins is None else int(range_bins)
@@ -210,11 +203,28 @@ def align_profiles_to_common_grid(
         raise ValueError(f"range_bins must be >= 2, got {num_bins}")
     range_grid = np.linspace(0.0, grid_extent, num_bins)
 
+    # Each interpolation is written straight into the real and imaginary
+    # planes.  ``re + 1j * im`` (what a complex build evaluates) has real
+    # part ``re + 0.0 * im`` and imaginary part ``im + 0.0``: they differ
+    # from ``re`` and ``im`` only in the sign of a zero and where ``im``
+    # is not finite, and the two in-place passes after the loop restore
+    # exactly those bits.  A frame with no zero and no non-finite value
+    # (every healthy one) needs neither pass.
     aligned = np.empty((if_frame.num_chirps, num_bins), dtype=complex)
-    for index, (profile, ranges) in enumerate(zip(raw_profiles, raw_ranges)):
-        aligned[index] = np.interp(range_grid, ranges, profile.real) + 1j * np.interp(
-            range_grid, ranges, profile.imag
-        )
+    real, imag = aligned.real, aligned.imag
+    raw_profiles = list(profiles)
+    raw_ranges = []
+    for index, (profile, size, slope) in enumerate(
+        zip(raw_profiles, size_of.tolist(), slope_of.tolist())
+    ):
+        profile *= phasors[size]
+        ranges = slope_ranges[slope].copy()
+        raw_ranges.append(ranges)
+        real[index] = np.interp(range_grid, ranges, profile.real)
+        imag[index] = np.interp(range_grid, ranges, profile.imag)
+    if not (real.all() and imag.all() and np.isfinite(imag).all()):
+        real += 0.0 * imag
+        imag += 0.0
 
     confidences: np.ndarray | None = None
     fallback_chirps: "tuple[int, ...]" = ()

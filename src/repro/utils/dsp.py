@@ -206,6 +206,16 @@ def parabolic_peak_offset(left: float, center: float, right: float) -> float:
     return float(np.clip(offset, -0.5, 0.5))
 
 
+def parabolic_peak_offsets(
+    left: np.ndarray, center: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """:func:`parabolic_peak_offset` of arrays of peaks, elementwise and bit for bit."""
+    denominator = left - 2.0 * center + right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = 0.5 * (left - right) / denominator
+    return np.where(denominator == 0.0, 0.0, np.clip(offset, -0.5, 0.5))
+
+
 @dataclass(frozen=True)
 class SlidingWindowSpec:
     """Specification for a sliding analysis window over a sample stream."""
